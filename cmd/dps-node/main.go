@@ -72,7 +72,6 @@ func run() int {
 	client := tcpnet.DialDirectory(dirAddr)
 	defer client.Close()
 	cfg := core.DefaultConfig()
-	cfg.StrictRepair = true // live deployments run the repaired protocol
 	cfg.Directory = client
 	node, err := core.NewNode(cfg)
 	if err != nil {

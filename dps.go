@@ -197,10 +197,6 @@ func (n *Network) AddPeer() (*Peer, error) {
 		return nil, errors.New("dps: network is closed")
 	}
 	cfg := core.DefaultConfig()
-	// Applications get the repaired protocol; only the pinned paper
-	// experiments replay the legacy repair behaviour (see
-	// core.Config.StrictRepair).
-	cfg.StrictRepair = true
 	cfg.Directory = n.dir
 	cfg.Traversal = n.opts.Traversal
 	cfg.Comm = n.opts.Comm

@@ -365,8 +365,8 @@ func ByzantineState() Scenario {
 		Description: "split-brain roots seeded at t=0 plus mixed corruption under crashes",
 		Steps:       420,
 		Converge:    420,
-		// The declared repair bound covers the worst-case StrictRepair
-		// path: the bounded-join backstop anchors after the retry budget
+		// The declared repair bound covers the worst-case repair path:
+		// the bounded-join backstop anchors after the retry budget
 		// (11 retries x 30-tick period ≈ 330 ticks), then suspicion
 		// timeouts and view reconciliation close the fault — observed
 		// tails reach ~425 ticks across seeds.

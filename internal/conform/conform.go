@@ -246,14 +246,12 @@ func (o Options) withDefaults() Options {
 }
 
 // nodeConfig is the protocol variant every conformance engine runs: the
-// paper's default (root-based traversal, leader communication) with the
-// strict-repair extensions on — the same variant the chaos suite
-// validates on the cycle engine, so cross-engine differences isolate the
-// runtime, not the protocol.
+// paper's default (root-based traversal, leader communication) — the
+// same variant the chaos suite validates on the cycle engine, so
+// cross-engine differences isolate the runtime, not the protocol.
 func nodeConfig(dir core.Directory, batch, cover bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Directory = dir
-	cfg.StrictRepair = true
 	cfg.BatchEvents = batch
 	cfg.CoverRouting = cover
 	return cfg

@@ -13,9 +13,10 @@ import (
 // view-symmetry breaks and containment-violating parent filters. The
 // self-stabilization claim under test (ROADMAP item 5, in the style of
 // Feldmann et al.'s self-stabilizing supervised pub/sub) is that the §4.3
-// repair machinery, with the StrictRepair extensions, converges back to a
-// legal configuration from ANY of these states within a bounded number of
-// steps — not merely from the states crash/partition faults can produce.
+// repair machinery, with the repair rules listed on Config, converges back
+// to a legal configuration from ANY of these states within a bounded
+// number of steps — not merely from the states crash/partition faults can
+// produce.
 //
 // Like snapshots, corruption ops may only be applied between engine steps
 // (or from the coordinator's OnStepBegin hook): node state is not
@@ -43,12 +44,12 @@ const (
 	// CorruptDeferenceCycle makes a group leader abdicate to one of its own
 	// members, whose view still names the abdicator: each side now believes
 	// the other leads, and walks bounce between them forever. Repaired by
-	// the StrictRepair deference-cycle anchoring (lowest id reclaims).
+	// the deference-cycle anchoring (lowest id reclaims).
 	CorruptDeferenceCycle
 	// CorruptSplitBrainRoot forges a second self-acknowledged root for an
 	// attribute tree and steals directory ownership: two cohorts each
 	// believe they host the root. Repaired by the deposed root dissolving
-	// through checkRootStillOwned (StrictRepair rehomes its cohort).
+	// through checkRootStillOwned, which rehomes its cohort.
 	CorruptSplitBrainRoot
 	// CorruptViewBreak inserts live non-holders into the groupview (and
 	// co-leader seat): view symmetry is broken by nodes that never joined.
@@ -57,7 +58,7 @@ const (
 	// CorruptWidenParent swaps the predview filter for one that does not
 	// include the group's own — the S-ToPSS-style semantic-drift fault
 	// delivery ratios cannot see but the containment invariant can.
-	// Repaired by the StrictRepair structural validation re-walk.
+	// Repaired by the structural validation re-walk.
 	CorruptWidenParent
 )
 
@@ -152,7 +153,7 @@ func (n *Node) corruptMembership(group string, preferLed bool, eligible func(*me
 }
 
 // forgeMember inserts id into the view structures as if it had joined,
-// clearing any departure memory that would let StrictRepair shrug the
+// clearing any departure memory that would let the repair rules shrug the
 // forgery off as a stale rumour.
 func forgeMember(m *membership, id sim.NodeID) bool {
 	if m.departed != nil {

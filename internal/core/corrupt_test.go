@@ -12,9 +12,9 @@ const phantomBase = sim.NodeID(1 << 30)
 // corruptCluster builds the standard corruption fixture: node 1 owns the
 // "a" tree, nodes 2 and 3 share the group a>10 && a<20 (2 leads), node 4
 // is a live bystander with no memberships.
-func corruptCluster(t *testing.T, strict bool) (*cluster, string) {
+func corruptCluster(t *testing.T) (*cluster, string) {
 	t.Helper()
-	c := newCluster(t, 4, func(cfg *Config) { cfg.StrictRepair = strict })
+	c := newCluster(t, 4, nil)
 	c.subscribe(1, "a>0")
 	c.settle(20)
 	c.subscribe(2, "a>10 && a<20")
@@ -29,7 +29,7 @@ func corruptCluster(t *testing.T, strict bool) (*cluster, string) {
 }
 
 func TestCorruptDanglingParentRepairs(t *testing.T) {
-	c, key := corruptCluster(t, true)
+	c, key := corruptCluster(t)
 	m := c.nodes[2].group(key)
 	if !c.nodes[2].ApplyCorruption(CorruptionOp{
 		Kind:  CorruptDanglingParent,
@@ -57,7 +57,7 @@ func TestCorruptDanglingParentRepairs(t *testing.T) {
 }
 
 func TestCorruptForgedViewRepairs(t *testing.T) {
-	c, key := corruptCluster(t, true)
+	c, key := corruptCluster(t)
 	if !c.nodes[3].ApplyCorruption(CorruptionOp{
 		Kind:  CorruptForgedView,
 		Group: key,
@@ -87,7 +87,7 @@ func TestCorruptForgedViewRepairs(t *testing.T) {
 }
 
 func TestCorruptDeferenceCycleRepairs(t *testing.T) {
-	c, key := corruptCluster(t, true)
+	c, key := corruptCluster(t)
 	if !c.nodes[2].ApplyCorruption(CorruptionOp{Kind: CorruptDeferenceCycle, Group: key}) {
 		t.Fatal("op reported no mutation")
 	}
@@ -109,7 +109,7 @@ func TestCorruptDeferenceCycleRepairs(t *testing.T) {
 }
 
 func TestCorruptSplitBrainRootRepairs(t *testing.T) {
-	c, key := corruptCluster(t, true)
+	c, key := corruptCluster(t)
 	if !c.nodes[3].ApplyCorruption(CorruptionOp{Kind: CorruptSplitBrainRoot, Attr: "a"}) {
 		t.Fatal("op reported no mutation")
 	}
@@ -146,7 +146,7 @@ func TestCorruptSplitBrainRootRepairs(t *testing.T) {
 }
 
 func TestCorruptViewBreakRepairs(t *testing.T) {
-	c, key := corruptCluster(t, true)
+	c, key := corruptCluster(t)
 	if !c.nodes[2].ApplyCorruption(CorruptionOp{
 		Kind:  CorruptViewBreak,
 		Group: key,
@@ -170,7 +170,7 @@ func TestCorruptViewBreakRepairs(t *testing.T) {
 }
 
 func TestCorruptWidenParentRepairs(t *testing.T) {
-	c, key := corruptCluster(t, true)
+	c, key := corruptCluster(t)
 	m := c.nodes[2].group(key)
 	if !c.nodes[2].ApplyCorruption(CorruptionOp{Kind: CorruptWidenParent, Group: key}) {
 		t.Fatal("op reported no mutation")
@@ -191,7 +191,7 @@ func TestCorruptWidenParentRepairs(t *testing.T) {
 // TestApplyCorruptionIneligible pins the no-eligible-membership contract:
 // a bystander with no state to corrupt reports false and stays untouched.
 func TestApplyCorruptionIneligible(t *testing.T) {
-	c, _ := corruptCluster(t, true)
+	c, _ := corruptCluster(t)
 	for _, kind := range CorruptionKinds() {
 		if kind == CorruptSplitBrainRoot {
 			continue // needs no prior membership by design

@@ -16,12 +16,6 @@ import (
 
 func coverConfig(cfg *Config) {
 	cfg.CoverRouting = true // default comm is leader-based, as required
-	cfg.StrictRepair = true // covering requires the repair extensions
-}
-
-func coverMergeConfig(cfg *Config) {
-	coverConfig(cfg)
-	cfg.CoverMerge = true
 }
 
 // coverKeys returns the canonical keys of the three chain filters.
@@ -108,87 +102,6 @@ func TestCoverWidensInFlightWalk(t *testing.T) {
 	}
 	if c.delivered[out][2] {
 		t.Error("node 2 delivered an event matching neither of its filters")
-	}
-}
-
-func TestCoverMergesSiblingWalks(t *testing.T) {
-	// Two incomparable walks from node 2 in the same tick merge into their
-	// summary filter: the overlapping a>20&&a<35 and a>30&&a<50 route as
-	// one a>20&&a<50 entry with both originals covered under it. The merge
-	// is exact (MergeAttrFiltersExact): the summary matches precisely the
-	// union of the two inputs, so no extra event traffic is attracted.
-	c := newCluster(t, 3, coverMergeConfig)
-	c.subscribe(1, "a>2")
-	c.settle(25)
-	c.subscribe(2, "a>20 && a<35")
-	c.subscribe(2, "a>30 && a<50")
-	c.settle(40)
-
-	lo := filter.MustAttrFilter("a", filter.Gt("a", 20), filter.Lt("a", 35)).Key()
-	hi := filter.MustAttrFilter("a", filter.Gt("a", 30), filter.Lt("a", 50)).Key()
-	merged := filter.MustAttrFilter("a", filter.Gt("a", 20), filter.Lt("a", 50)).Key()
-	table := c.nodes[2].CoverTable()
-	for _, key := range []string{lo, hi} {
-		edge, ok := table[key]
-		if !ok {
-			t.Fatalf("covering table %v lacks the %q edge", table, key)
-		}
-		if edge.Coverer != merged {
-			t.Errorf("%q covered by %q, want the summary %q", key, edge.Coverer, merged)
-		}
-	}
-	groups := c.groupsOf()
-	if groups[lo] != nil || groups[hi] != nil {
-		t.Errorf("sibling filters still routed as own groups: %v / %v", groups[lo], groups[hi])
-	}
-	if groups[merged] == nil {
-		t.Fatalf("summary group %q not routed; groups: %v", merged, groups)
-	}
-	assertCoverSound(t, c.nodes[2])
-
-	inLo := c.publish(3, "a=25")
-	inHi := c.publish(3, "a=45")
-	out := c.publish(3, "a=55") // outside the summary, matches neither sub
-	c.settle(30)
-	if !c.delivered[inLo][2] || !c.delivered[inHi][2] {
-		t.Error("node 2 missed an event matching a merged sibling")
-	}
-	if c.delivered[out][2] {
-		t.Error("node 2 delivered an event matching neither subscription")
-	}
-}
-
-func TestCoverRefusesGapMerge(t *testing.T) {
-	// Disjoint siblings with a gap (a>20&&a<30 vs a>40&&a<50) must NOT
-	// merge: the hull a>20&&a<50 would attract events in (30,40) that
-	// neither subscription wants. Both filters route as their own groups.
-	c := newCluster(t, 3, coverMergeConfig)
-	c.subscribe(1, "a>2")
-	c.settle(25)
-	c.subscribe(2, "a>20 && a<30")
-	c.subscribe(2, "a>40 && a<50")
-	c.settle(40)
-
-	lo := filter.MustAttrFilter("a", filter.Gt("a", 20), filter.Lt("a", 30)).Key()
-	hi := filter.MustAttrFilter("a", filter.Gt("a", 40), filter.Lt("a", 50)).Key()
-	hull := filter.MustAttrFilter("a", filter.Gt("a", 20), filter.Lt("a", 50)).Key()
-	groups := c.groupsOf()
-	if groups[hull] != nil {
-		t.Errorf("gap siblings merged into hull group %v — lossy merge", groups[hull])
-	}
-	if groups[lo] == nil || groups[hi] == nil {
-		t.Fatalf("disjoint filters not routed as own groups: %v / %v", groups[lo], groups[hi])
-	}
-	assertCoverSound(t, c.nodes[2])
-
-	gap := c.publish(3, "a=35")
-	inLo := c.publish(3, "a=25")
-	c.settle(30)
-	if c.delivered[gap][2] {
-		t.Error("node 2 delivered a gap event matching neither subscription")
-	}
-	if !c.delivered[inLo][2] {
-		t.Error("node 2 missed an event matching its own filter")
 	}
 }
 

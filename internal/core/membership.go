@@ -61,32 +61,8 @@ func (n *membershipSys) subscribe(sub filter.Subscription) error {
 		// folded walk hit the raced-unsubscribe paths and dissolve
 		// harmlessly.
 		if jm := n.widenCandidate(af); jm != nil {
-			n.foldWalkUnder(jm, af, []filter.Subscription{sub})
+			n.foldWalkUnder(jm, af, sub)
 			return nil
-		}
-		// Sibling merge (CoverMerge): another walk on this attribute is
-		// still in flight and the two filters union losslessly — widen
-		// the in-flight entry to their summary filter, fold both siblings
-		// under it as covered entries, and route one entry instead of
-		// two. Only exact unions merge: a hull with a gap would pull
-		// event traffic neither subscription wants.
-		if n.cfg.CoverMerge {
-			if jm := n.mergeCandidate(af); jm != nil {
-				if merged, okM := filter.MergeAttrFiltersExact(jm.af, af); okM {
-					// The summary label must be fresh: colliding with
-					// another membership or covered entry would splice
-					// unrelated state — fall back to a plain walk instead.
-					_, groupClash := n.groups[merged.Key()]
-					_, coverClash := n.covered[merged.Key()]
-					if !groupClash && !coverClash {
-						n.addCover(af.Key(), &coverEntry{
-							af: af, coverer: merged.Key(), subs: []filter.Subscription{sub}})
-						n.indexSub(sub)
-						n.foldWalkUnder(jm, merged, nil)
-						return nil
-					}
-				}
-			}
 		}
 	}
 	m := &membership{
@@ -141,42 +117,22 @@ func (n *membershipSys) widenCandidate(af filter.AttrFilter) *membership {
 	return nil
 }
 
-// mergeCandidate returns the first in-flight walk (join order) on af's
-// attribute whose filter is incomparable with af — a sibling eligible for
-// summary merging — or nil. Walks with an inclusion relation are handled
-// by the covering stop / widening cases; walks that already grew shared
-// group state must keep their label and are left alone.
-func (n *membershipSys) mergeCandidate(af filter.AttrFilter) *membership {
-	for _, key := range n.joinOrder {
-		jm := n.joining[key]
-		if jm.isRoot || jm.af.IsUniversal() || jm.af.Attr() != af.Attr() {
-			continue
-		}
-		if coverFoldable(jm) && !jm.af.Includes(af) && !af.Includes(jm.af) {
-			return jm
-		}
-	}
-	return nil
-}
-
 // foldWalkUnder relabels the in-flight membership jm to the strictly wider
 // filter wider: jm's former filter becomes a covering entry riding on the
-// wider label, subs (the wider filter's own subscriptions, may be nil)
-// seed the relabeled membership, and the walk restarts under the new
-// label. In-flight answers for the old label find no membership and take
-// the raced-unsubscribe exits (handleCreateGroup / handleJoinAccept).
-func (n *membershipSys) foldWalkUnder(jm *membership, wider filter.AttrFilter, subs []filter.Subscription) {
+// wider label, sub (the wider filter's own subscription) seeds the
+// relabeled membership, and the walk restarts under the new label.
+// In-flight answers for the old label find no membership and take the
+// raced-unsubscribe exits (handleCreateGroup / handleJoinAccept).
+func (n *membershipSys) foldWalkUnder(jm *membership, wider filter.AttrFilter, sub filter.Subscription) {
 	old := jm.af
 	n.dropMembership(old.Key())
 	// Edges riding on the old label ride on the wider one: a strictly
 	// wider filter still includes every covered filter.
 	n.retargetCoverEdges(old.Key(), wider.Key())
 	n.addCover(old.Key(), &coverEntry{af: old, coverer: wider.Key(), subs: jm.subs})
-	for _, s := range subs {
-		n.indexSub(s)
-	}
+	n.indexSub(sub)
 	jm.af = wider
-	jm.subs = subs
+	jm.subs = []filter.Subscription{sub}
 	jm.retries = 0
 	n.addGroup(wider.Key(), jm)
 	n.addJoining(wider.Key(), jm)
@@ -321,7 +277,7 @@ func (n *membershipSys) startJoin(m *membership) {
 	// the retry budget, anchor the group in place — the leader's position
 	// probes and the parent's branch exchanges reconnect it from there,
 	// so total repair time stays bounded.
-	if n.cfg.StrictRepair && m.retries > 10 {
+	if m.retries > 10 {
 		n.selfAnchor(m)
 		return
 	}
@@ -377,8 +333,8 @@ func (n *membershipSys) ensureRoot(attr string) *membership {
 
 // selfAnchor activates a joining membership in place: the node claims
 // leadership of its own instance and lets the probe machinery merge it
-// if a duplicate instance surfaces later (StrictRepair only). This is
-// the terminal repair for walks a damaged topology cannot answer.
+// if a duplicate instance surfaces later. This is the terminal repair for
+// walks a damaged topology cannot answer.
 func (n *membershipSys) selfAnchor(m *membership) {
 	n.setActive(m)
 	if n.cfg.Comm == LeaderBased && !m.isLeaderHere(n.ID()) {
@@ -440,7 +396,7 @@ func (n *membershipSys) handleFindGroup(from sim.NodeID, f findGroup) {
 					}
 					m = tm
 				}
-			case n.cfg.StrictRepair && f.Subscriber == n.ID() && tm.af.SameExtension(f.AF):
+			case f.Subscriber == n.ID() && tm.af.SameExtension(f.AF):
 				// The walk came back to our own joining membership: every
 				// route to the group leads here, so no other instance exists
 				// to accept us — the single-node twin of the two-party bounce
@@ -458,7 +414,7 @@ func (n *membershipSys) handleFindGroup(from sim.NodeID, f findGroup) {
 		// Nothing useful here (stale contact): restart from the owner if
 		// we know it, otherwise drop — the subscriber's retry timer covers
 		// us.
-		if n.cfg.StrictRepair && from != n.ID() && !f.At.IsZero() {
+		if from != n.ID() && !f.At.IsZero() {
 			if _, hosts := n.groups[f.At.Key()]; !hosts {
 				// We were addressed as a contact of a group we know nothing
 				// about: make the sender drop us from its branch, or the
@@ -510,7 +466,7 @@ func (n *membershipSys) walkFrom(m *membership, from sim.NodeID, f findGroup) {
 	if f.Hops > 128 {
 		return // defensive bound; the subscriber will retry
 	}
-	// Leader mode: group decisions belong to the leader. StrictRepair
+	// Leader mode: group decisions belong to the leader, with one
 	// exception: never forward a walk to its own subscriber — when the
 	// believed leader IS the node that is walking (it re-attaches while
 	// the cohort still names it leader), deferring to it just returns
@@ -519,8 +475,8 @@ func (n *membershipSys) walkFrom(m *membership, from sim.NodeID, f findGroup) {
 	// lost.
 	if n.cfg.Comm == LeaderBased && !m.isLeaderHere(n.ID()) && m.leader != 0 &&
 		!n.suspected[m.leader] &&
-		(!n.cfg.StrictRepair || m.leader != f.Subscriber) {
-		if n.cfg.StrictRepair && from == m.leader && from != n.ID() &&
+		m.leader != f.Subscriber {
+		if from == m.leader && from != n.ID() &&
 			!has(m.parent.Nodes, from) {
 			// Leadership deference cycle: the walk came from the very node
 			// we would forward it to, so each side believes the other
@@ -563,7 +519,7 @@ func (n *membershipSys) walkFrom(m *membership, from sim.NodeID, f findGroup) {
 	// each other forever, each accepting the other with Leader 0 (the
 	// leaderless twin of the deference cycle above — both found by the
 	// chaos harness).
-	if n.cfg.StrictRepair && n.cfg.Comm == LeaderBased && m.leader == 0 &&
+	if n.cfg.Comm == LeaderBased && m.leader == 0 &&
 		m.state == stateActive && !m.isRoot {
 		m.leader = n.ID()
 		m.leaderlessAt = 0
@@ -654,7 +610,7 @@ func (n *membershipSys) liveContact(b *Branch, exclude sim.NodeID) sim.NodeID {
 		if c == exclude || n.suspected[c] {
 			continue
 		}
-		if n.cfg.StrictRepair && c == n.ID() {
+		if c == n.ID() {
 			// A self-contact is only meaningful while we host the child
 			// group and it can accept (joining members cannot); a stale
 			// one would recurse the walk into ourselves until the hop cap
@@ -827,8 +783,6 @@ func (n *membershipSys) handleCreateGroup(from sim.NodeID, msg createGroup) {
 
 // handleJoinAccept finalises a SUBSCRIBE TO.
 func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
-	if msg.Wanted.Key() != msg.AF.Key() {
-	}
 	m, ok := n.groups[msg.AF.Key()]
 	if ok && m.state == stateActive && n.cfg.Comm == LeaderBased &&
 		m.isLeaderHere(n.ID()) && msg.Leader != 0 && msg.Leader != n.ID() {
@@ -877,19 +831,15 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 	n.setActive(m)
 	m.leader = msg.Leader
 	m.leaderlessAt = 0
-	co := msg.CoLeaders
-	if n.cfg.StrictRepair {
-		// A leader's position probe answers through its own acceptMember,
-		// so the accept can echo a pre-eviction snapshot back at it; the
-		// leave memory keeps evicted entries from riding back in.
-		now := n.env.Now()
-		live := make([]sim.NodeID, 0, len(co))
-		for _, id := range co {
-			if !m.recentlyDeparted(id, now, n.cfg.SeenTTL) {
-				live = append(live, id)
-			}
+	// A leader's position probe answers through its own acceptMember, so
+	// the accept can echo a pre-eviction snapshot back at it; the leave
+	// memory keeps evicted entries from riding back in.
+	now := n.env.Now()
+	co := make([]sim.NodeID, 0, len(msg.CoLeaders))
+	for _, id := range msg.CoLeaders {
+		if !m.recentlyDeparted(id, now, n.cfg.SeenTTL) {
+			co = append(co, id)
 		}
-		co = live
 	}
 	m.coLeaders = n.liveView(co)
 	// A re-attaching leader that merged into another instance hands its
@@ -910,7 +860,7 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 		})
 	}
 	for _, id := range msg.Members {
-		if n.cfg.StrictRepair && m.recentlyDeparted(id, n.env.Now(), n.cfg.SeenTTL) {
+		if m.recentlyDeparted(id, now, n.cfg.SeenTTL) {
 			continue // same probe-echo race as the co-leader list above
 		}
 		m.members.add(id)
@@ -924,13 +874,9 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 	// is how a detached group instance pair finds its way back
 	// (chaos-harness finding: two orphaned instances can otherwise
 	// re-accept each other's re-walks with empty predviews forever).
-	parent := msg.Parent
-	if n.cfg.StrictRepair {
-		// Probe echoes can also carry a predview whose contacts suspicion
-		// already removed; adopting them back would undo that repair.
-		parent = n.rep.pruneSuspected(parent)
-	}
-	if !n.cfg.StrictRepair || len(parent.Nodes) > 0 || len(m.parent.Nodes) == 0 {
+	// Probe echoes can also carry a predview whose contacts suspicion
+	// already removed; adopting them back would undo that repair.
+	if parent := n.rep.pruneSuspected(msg.Parent); len(parent.Nodes) > 0 || len(m.parent.Nodes) == 0 {
 		m.parent = parent
 	}
 	if wasJoining {
@@ -948,9 +894,7 @@ func (n *membershipSys) handleJoinNotify(msg joinNotify) {
 	if msg.Gone {
 		m.members.remove(msg.Member)
 		m.coLeaders.remove(msg.Member)
-		if n.cfg.StrictRepair {
-			m.markDeparted(msg.Member, n.env.Now())
-		}
+		m.markDeparted(msg.Member, n.env.Now())
 		return
 	}
 	m.members.add(msg.Member)
@@ -964,11 +908,8 @@ func (n *membershipSys) handleGossipSub(msg gossipSub) {
 	}
 	if msg.Gone {
 		m.members.remove(msg.Member)
-		if n.cfg.StrictRepair {
-			m.markDeparted(msg.Member, n.env.Now())
-		}
-	} else if !n.cfg.StrictRepair ||
-		!m.recentlyDeparted(msg.Member, n.env.Now(), n.cfg.SeenTTL) {
+		m.markDeparted(msg.Member, n.env.Now())
+	} else if !m.recentlyDeparted(msg.Member, n.env.Now(), n.cfg.SeenTTL) {
 		m.members.add(msg.Member)
 		m.members.bound(n.cfg.GroupViewSize, n.env.Rand())
 	}
@@ -1127,10 +1068,8 @@ func (n *membershipSys) handleLeave(msg leave) {
 	}
 	m.members.remove(msg.Member)
 	m.coLeaders.remove(msg.Member)
-	if n.cfg.StrictRepair {
-		m.markDeparted(msg.Member, n.env.Now())
-	}
-	if n.cfg.StrictRepair && m.leader == msg.Member {
+	m.markDeparted(msg.Member, n.env.Now())
+	if m.leader == msg.Member {
 		// The peer we deferred to says it is not in the group: forget the
 		// stale leadership. The leaderless grace (or, for root mirrors,
 		// the directory-based recovery) finds the real cohort from here.
@@ -1185,8 +1124,8 @@ func (n *membershipSys) gcRumours(now int64) {
 	}
 }
 
-// gcDeparted expires the per-membership departure memories (StrictRepair)
-// so long-running open-system nodes do not accumulate a mark for every
+// gcDeparted expires the per-membership departure memories so
+// long-running open-system nodes do not accumulate a mark for every
 // member that ever left. Same sweep cadence as the other dedup memories.
 func (n *membershipSys) gcDeparted(now int64) {
 	for _, key := range n.groupOrder {

@@ -83,18 +83,6 @@ func NewNode(cfg Config) (*Node, error) {
 		// so covering is only sound under leader-based communication.
 		return nil, errors.New("core: CoverRouting requires leader-based communication")
 	}
-	if cfg.CoverMerge && !cfg.CoverRouting {
-		return nil, errors.New("core: CoverMerge requires CoverRouting")
-	}
-	if cfg.CoverRouting && !cfg.StrictRepair {
-		// Summary labels from sibling merging can be derived concurrently
-		// by several nodes, so covering multiplies duplicate-instance
-		// creations — the races (leadership deference cycles, unanswerable
-		// re-walks) that only the StrictRepair extensions resolve
-		// boundedly. Without them a merged-label walk can livelock
-		// forever, stranding the subscriptions covered under it.
-		return nil, errors.New("core: CoverRouting requires StrictRepair")
-	}
 	n := &Node{
 		st: state{
 			cfg:        cfg,

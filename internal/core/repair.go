@@ -188,13 +188,12 @@ func (n *repairSys) heartbeatRound(now int64) {
 			if m == nil || m.state != stateActive {
 				continue
 			}
-			// Orphaned-leader grace (StrictRepair): a leader whose active
-			// non-root group has no predview contact at all re-walks to
-			// find its position. The walk-bounce resolution can settle two
+			// Orphaned-leader grace: a leader whose active non-root
+			// group has no predview contact at all re-walks to find its
+			// position. The walk-bounce resolution can settle two
 			// re-attaching nodes onto each other without either finishing
 			// a placement walk, fabricating a group attached to nothing.
-			if n.cfg.StrictRepair && m.leader == n.ID() && !m.isRoot &&
-				len(m.parent.Nodes) == 0 {
+			if m.leader == n.ID() && !m.isRoot && len(m.parent.Nodes) == 0 {
 				switch {
 				case m.leaderlessAt == 0:
 					m.leaderlessAt = now
@@ -209,13 +208,10 @@ func (n *repairSys) heartbeatRound(now int64) {
 			}
 			if m.isRoot {
 				// Root memberships sit outside the classic grace path (a
-				// root has no predecessor to re-walk from). StrictRepair
-				// recovers leaderless mirrors through the directory: the
-				// owner reasserts leadership, a deposed mirror demotes, and
-				// if the owner itself is gone the mirror reclaims the tree.
-				if !n.cfg.StrictRepair {
-					continue
-				}
+				// root has no predecessor to re-walk from). Leaderless
+				// mirrors recover through the directory: the owner
+				// reasserts leadership, a deposed mirror demotes, and if the
+				// owner itself is gone the mirror reclaims the tree.
 				switch {
 				case m.leaderlessAt == 0:
 					m.leaderlessAt = now
@@ -435,9 +431,7 @@ func (n *repairSys) handleCoLeaderUpdate(from sim.NodeID, msg coLeaderUpdate) {
 		// hold: tell the announcer to drop us. Leadership changes
 		// broadcast to the whole groupview, so this sweeps stale entries
 		// (restarted or departed identities) out at every promotion.
-		if n.cfg.StrictRepair {
-			n.send(from, leave{AF: msg.AF, Member: n.ID()})
-		}
+		n.send(from, leave{AF: msg.AF, Member: n.ID()})
 		return
 	}
 	if msg.Leader != 0 && n.suspected[msg.Leader] {
@@ -449,16 +443,16 @@ func (n *repairSys) handleCoLeaderUpdate(from sim.NodeID, msg coLeaderUpdate) {
 }
 
 // handleRehome re-walks this group from the current owner (duplicate-tree
-// merge). Under StrictRepair a rehome can also address a root mirror: the
-// cohort it mirrored dissolved, so the mirror demotes — dropping the
-// membership outright when it serves no subscription, re-walking into the
-// canonical tree when it does.
+// merge). A rehome can also address a root mirror: the cohort it mirrored
+// dissolved, so the mirror demotes — dropping the membership outright
+// when it serves no subscription, re-walking into the canonical tree
+// when it does.
 func (n *repairSys) handleRehome(msg rehome) {
 	m, ok := n.groups[msg.AF.Key()]
 	if !ok {
 		return
 	}
-	if m.isRoot && n.cfg.StrictRepair {
+	if m.isRoot {
 		if owner, okO := n.cfg.Directory.Owner(m.af.Attr()); okO && owner == n.ID() {
 			return // we own the tree: the rehome is stale
 		}
@@ -577,15 +571,13 @@ func (n *repairSys) viewExchangeRound() {
 		if m == nil || m.state != stateActive {
 			continue
 		}
-		// Structural self-validation (StrictRepair): audit this group's tree
-		// edges against the containment discipline before advertising them.
+		// Structural self-validation: audit this group's tree edges
+		// against the containment discipline before advertising them.
 		// Crashes never break filter algebra — only corrupted state does —
 		// so on crash/partition runs this is a no-op.
-		if n.cfg.StrictRepair {
-			n.validateStructure(m)
-			if m.state != stateActive {
-				continue // validation sent the group back into a walk
-			}
+		n.validateStructure(m)
+		if m.state != stateActive {
+			continue // validation sent the group back into a walk
 		}
 		msg := viewExchange{
 			AF:       m.af,
@@ -597,8 +589,8 @@ func (n *repairSys) viewExchangeRound() {
 		}
 		var targets []sim.NodeID
 		adjacent := false // may this node speak for the group tree-wise?
-		// StrictRepair leader ping: a non-leader member synchronises with
-		// its believed leader — root mirrors every round, regular members
+		// Leader ping: a non-leader member synchronises with its
+		// believed leader — root mirrors every round, regular members
 		// every fourth (they are meant to stay near-silent). A live
 		// leader replies with the authoritative view (reconciling stale
 		// entries); a node that no longer holds the group answers "not a
@@ -609,7 +601,7 @@ func (n *repairSys) viewExchangeRound() {
 		// it forever. The ping is deliberately minimal — only the
 		// sender's own id — so a stale view never re-infects the leader's
 		// authoritative copy with entries the audit just removed.
-		if n.cfg.StrictRepair && n.cfg.Comm == LeaderBased &&
+		if n.cfg.Comm == LeaderBased &&
 			!m.isLeaderHere(n.ID()) && m.leader != 0 && !n.suspected[m.leader] {
 			ping := m.isRoot
 			if !ping {
@@ -643,7 +635,7 @@ func (n *repairSys) viewExchangeRound() {
 					targets = append(targets, p)
 				}
 				adjacent = true
-				if n.cfg.StrictRepair && m.members.len() > 1 {
+				if m.members.len() > 1 {
 					// Rotating member audit: address a quarter of the
 					// groupview per round (2–8 members, spread evenly), so
 					// a full audit cycle takes at most four periods
@@ -815,30 +807,23 @@ func (n *repairSys) checkRootStillOwned(m *membership) {
 			n.send(c, rehome{AF: b.AF})
 		}
 	}
-	if n.cfg.StrictRepair {
-		// Tell the cohort — co-owner mirrors and recruited members — that
-		// this root instance dissolved. Without this they mirror a root
-		// that no longer exists forever (stale leaders, ownerless mirrors):
-		// the first structural defect the chaos invariant checker found.
-		for _, id := range m.members.ids() {
-			if id != n.ID() {
-				n.send(id, rehome{AF: m.af})
-			}
-		}
-		// The dissolving root's subscriptions re-walk into the canonical
-		// tree instead of leaving the overlay with the membership.
-		if len(m.subs) > 0 {
-			m.isRoot = false
-			m.leader = 0
-			m.leaderlessAt = 0
-			n.reattach(m)
-			return
+	// Tell the cohort — co-owner mirrors and recruited members — that this
+	// root instance dissolved. Without this they mirror a root that no
+	// longer exists forever (stale leaders, ownerless mirrors): the first
+	// structural defect the chaos invariant checker found.
+	for _, id := range m.members.ids() {
+		if id != n.ID() {
+			n.send(id, rehome{AF: m.af})
 		}
 	}
-	// The dissolving root may carry live subscriptions (a subscriber with
-	// a universal filter): they leave the delivery index with it.
-	for _, sub := range m.subs {
-		n.unindexSub(sub)
+	// The dissolving root's subscriptions re-walk into the canonical tree
+	// instead of leaving the overlay with the membership.
+	if len(m.subs) > 0 {
+		m.isRoot = false
+		m.leader = 0
+		m.leaderlessAt = 0
+		n.reattach(m)
+		return
 	}
 	n.dropMembership(m.af.Key())
 }
@@ -847,7 +832,7 @@ func (n *repairSys) checkRootStillOwned(m *membership) {
 func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 	m, ok := n.groups[msg.AF.Key()]
 	if ok && m.state == stateActive {
-		// Deference-cycle anchoring (StrictRepair): the sender believes WE
+		// Deference-cycle anchoring: the sender believes WE
 		// lead this group while we believe IT does. Both nodes are live and
 		// hold the group, so neither suspicion nor the duplicate-instance
 		// merge ever fires — each side just defers forever, and walks bounce
@@ -855,7 +840,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 		// carries the sender's belief); resolve it like every other
 		// leadership tie, to the lowest id: the lower id reclaims and
 		// re-announces, the higher id re-acknowledges the sender directly.
-		if n.cfg.StrictRepair && n.cfg.Comm == LeaderBased && from != n.ID() &&
+		if n.cfg.Comm == LeaderBased && from != n.ID() &&
 			msg.Leader == n.ID() && m.leader == from {
 			if n.ID() < from {
 				m.leader = n.ID()
@@ -880,7 +865,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 		fromLeader := n.cfg.Comm == LeaderBased && from == m.leader &&
 			from != n.ID() && !n.suspected[from]
 		now := n.env.Now()
-		if n.cfg.StrictRepair && fromLeader {
+		if fromLeader {
 			// The leader's groupview is authoritative in leader mode
 			// (§4.2.1: co-leaders mirror it). Reconcile instead of union,
 			// or members the leader removed — crashed, restarted, left —
@@ -898,7 +883,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 				// A member we saw leave stays out until it re-joins for
 				// real: exchange replies race with removals, and an
 				// un-guarded union resurrects every removed entry.
-				if n.cfg.StrictRepair && m.recentlyDeparted(id, now, n.cfg.SeenTTL) {
+				if m.recentlyDeparted(id, now, n.cfg.SeenTTL) {
 					continue
 				}
 				m.members.add(id)
@@ -935,19 +920,16 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 				}
 			}
 		}
-		incoming := msg.Parent
-		if n.cfg.StrictRepair {
-			// Never adopt contacts we suspect dead: a stale mirror's view
-			// would resurrect entries suspicion already removed.
-			incoming = n.pruneSuspected(incoming)
-		}
+		// Never adopt contacts we suspect dead: a stale mirror's view would
+		// resurrect entries suspicion already removed.
+		incoming := n.pruneSuspected(msg.Parent)
 		if len(m.parent.Nodes) == 0 && len(incoming.Nodes) > 0 && !m.isRoot {
-			m.parent = cloneBranch(incoming)
-		} else if n.cfg.StrictRepair && fromLeader && !m.isRoot && len(incoming.Nodes) > 0 {
+			m.parent = incoming
+		} else if fromLeader && !m.isRoot && len(incoming.Nodes) > 0 {
 			// Members adopt the leader's predview wholesale: the leader is
 			// the instance that monitors and repairs the upward edge, so
 			// its contacts are the fresh ones.
-			m.parent = cloneBranch(incoming)
+			m.parent = incoming
 		}
 		// Refresh branches we both know. Root mirrors adopt branches their
 		// leader knows and they do not (keeping co-owner mirrors fresh);
@@ -999,14 +981,11 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 			relay.Reply = true // terminal: the receiver merges, no ping-pong
 			n.send(primary, relay)
 		}
-		// A node can hold a branch for the sender's group AND be one of its
-		// children (a root mirror whose own subscription group sits deeper
-		// in the same tree). Returning here would shadow the child-predview
-		// refresh below — the only message path that can refill this node's
-		// predview when its own re-walks self-accept.
-		if !n.cfg.StrictRepair {
-			return
-		}
+		// No return: a node can hold a branch for the sender's group AND
+		// be one of its children (a root mirror whose own subscription
+		// group sits deeper in the same tree), and the child-predview
+		// refresh below is the only message path that can refill this
+		// node's predview when its own re-walks self-accept.
 	}
 	// Otherwise perhaps we are a child — check whether one of our groups
 	// appears in the sender's branch list and refresh our predview.
@@ -1039,7 +1018,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 	// checker's view-symmetry sweep). A membership in stateJoining counts
 	// as holding the group: a member mid-re-attach must not ask its own
 	// cohort to evict it.
-	if n.cfg.StrictRepair && !ok &&
+	if !ok &&
 		(msg.Leader == n.ID() || has(msg.Members, n.ID()) || has(msg.CoLead, n.ID())) {
 		n.send(from, leave{AF: msg.AF, Member: n.ID()})
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/dps-overlay/dps/internal/filter"
@@ -12,8 +11,7 @@ import (
 // machinery (§4.3): root crash with a single child, simultaneous sibling
 // crashes, and the merge of diverged group views. The chaos harness
 // (internal/chaos) exercises these paths statistically; the cases here
-// pin each one at unit level, in both the paper-faithful configuration
-// and the StrictRepair one (core.Config.StrictRepair).
+// pin each one at unit level.
 
 // repairCase is one scripted fault drama: build an overlay, break it,
 // settle, then check the structural and delivery postconditions.
@@ -24,7 +22,7 @@ type repairCase struct {
 	// settle is the repair window in steps (heartbeat timeouts plus
 	// anti-entropy rounds).
 	settle int
-	check  func(t *testing.T, c *cluster, strict bool)
+	check  func(t *testing.T, c *cluster)
 }
 
 // liveLeadersOf returns the distinct leaders live members of the keyed
@@ -86,7 +84,7 @@ func repairCases() []repairCase {
 				c.engine.Kill(owner)
 			},
 			settle: 600,
-			check: func(t *testing.T, c *cluster, strict bool) {
+			check: func(t *testing.T, c *cluster) {
 				owner, ok := c.dir.Owner("a")
 				if !ok || !c.engine.Alive(owner) {
 					t.Fatalf("tree ownership not reclaimed by the single child (owner=%d ok=%v)", owner, ok)
@@ -115,9 +113,9 @@ func repairCases() []repairCase {
 				c.engine.Kill(3)
 			},
 			settle: 400,
-			check: func(t *testing.T, c *cluster, strict bool) {
+			check: func(t *testing.T, c *cluster) {
 				// A fresh subscriber re-creates sibling A's spot.
-				c.addNode(99, func(cfg *Config) { cfg.StrictRepair = strict })
+				c.addNode(99, nil)
 				c.subscribe(99, "a>10 && a<100")
 				c.settle(300)
 				key := filter.MustAttrFilter("a",
@@ -150,7 +148,7 @@ func repairCases() []repairCase {
 				// The fault IS the divergence; nothing crashes.
 			},
 			settle: 400,
-			check: func(t *testing.T, c *cluster, strict bool) {
+			check: func(t *testing.T, c *cluster) {
 				key := filter.MustAttrFilter("a",
 					filter.Gt("a", 10), filter.Lt("a", 20)).Key()
 				leaders := liveLeadersOf(c, key)
@@ -177,19 +175,16 @@ func repairCases() []repairCase {
 	}
 }
 
-// TestRepairEdgeCases drives every scripted repair drama under both the
-// paper-faithful protocol and StrictRepair.
+// TestRepairEdgeCases drives every scripted repair drama.
 func TestRepairEdgeCases(t *testing.T) {
-	for _, strict := range []bool{false, true} {
-		for _, tc := range repairCases() {
-			tc := tc
-			t.Run(fmt.Sprintf("%s/strict=%v", tc.name, strict), func(t *testing.T) {
-				c := newCluster(t, 5, func(cfg *Config) { cfg.StrictRepair = strict })
-				tc.build(t, c)
-				tc.fault(t, c)
-				c.settle(tc.settle)
-				tc.check(t, c, strict)
-			})
-		}
+	for _, tc := range repairCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 5, nil)
+			tc.build(t, c)
+			tc.fault(t, c)
+			c.settle(tc.settle)
+			tc.check(t, c)
+		})
 	}
 }

@@ -61,37 +61,32 @@ func TestStructuralSnapshotIsDeepCopy(t *testing.T) {
 	}
 }
 
-// TestLeadershipDeferenceCycleRepair pins the StrictRepair resolution of
-// crossed leadership: two members each believing the other leads bounce
-// any third party's walk between themselves forever; with StrictRepair
-// the lower id anchors on the first bounce and the walk settles, without
-// it the walk starves and the crossed state persists.
+// TestLeadershipDeferenceCycleRepair pins the resolution of crossed
+// leadership: two members each believing the other leads would bounce
+// any third party's walk between themselves forever; the lower id
+// anchors on the first bounce and the walk settles.
 func TestLeadershipDeferenceCycleRepair(t *testing.T) {
 	key := filter.MustAttrFilter("a", filter.Gt("a", 10), filter.Lt("a", 20)).Key()
-	build := func(strict bool) (*cluster, *membership, *membership) {
-		c := newCluster(t, 4, func(cfg *Config) { cfg.StrictRepair = strict })
-		c.subscribe(1, "a>0") // owner
-		c.settle(20)
-		c.subscribe(2, "a>10 && a<20")
-		c.settle(40)
-		c.subscribe(3, "a>10 && a<20")
-		c.settle(40)
-		m2, m3 := c.nodes[2].group(key), c.nodes[3].group(key)
-		if m2 == nil || m3 == nil {
-			t.Fatal("group did not form at both members")
-		}
-		// Force the pathological crossed state the chaos harness found:
-		// each believes the other leads.
-		m2.leader, m3.leader = 3, 2
-		// A third party's walk into the group forces the bounce.
-		c.subscribe(4, "a>10 && a<20")
-		c.settle(120)
-		return c, m2, m3
+	c := newCluster(t, 4, nil)
+	c.subscribe(1, "a>0") // owner
+	c.settle(20)
+	c.subscribe(2, "a>10 && a<20")
+	c.settle(40)
+	c.subscribe(3, "a>10 && a<20")
+	c.settle(40)
+	m2, m3 := c.nodes[2].group(key), c.nodes[3].group(key)
+	if m2 == nil || m3 == nil {
+		t.Fatal("group did not form at both members")
 	}
+	// Force the pathological crossed state the chaos harness found: each
+	// believes the other leads.
+	m2.leader, m3.leader = 3, 2
+	// A third party's walk into the group forces the bounce.
+	c.subscribe(4, "a>10 && a<20")
+	c.settle(120)
 
-	c, m2, m3 := build(true)
 	if m2.leader != m3.leader {
-		t.Fatalf("leadership still crossed after StrictRepair: m2→%d m3→%d", m2.leader, m3.leader)
+		t.Fatalf("leadership still crossed after repair: m2→%d m3→%d", m2.leader, m3.leader)
 	}
 	if m2.leader != 2 {
 		t.Fatalf("cycle resolved to %d, want the lower id 2", m2.leader)
@@ -99,12 +94,4 @@ func TestLeadershipDeferenceCycleRepair(t *testing.T) {
 	if m4 := c.nodes[4].group(key); m4 == nil || m4.state != stateActive {
 		t.Fatal("third party's walk did not settle after the cycle resolved")
 	}
-
-	// Paper-faithful contrast: without StrictRepair the walk starves on
-	// the bounce and the crossed state persists.
-	c, m2, m3 = build(false)
-	if m2.leader != 3 || m3.leader != 2 {
-		t.Fatalf("legacy protocol unexpectedly resolved the cycle: m2→%d m3→%d", m2.leader, m3.leader)
-	}
-	_ = c
 }

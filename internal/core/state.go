@@ -51,15 +51,15 @@ type membership struct {
 	// through setBranch/deleteBranch to keep the two in sync.
 	branchOrder []string
 	isRoot      bool // this membership hosts the tree root
-	// auditIdx rotates the StrictRepair member audit: each view-exchange
-	// round the leader additionally addresses one member, so stale
-	// groupview entries (restarted or departed identities) eventually get
-	// asked and answer "not a member".
+	// auditIdx rotates the member audit: each view-exchange round the
+	// leader additionally addresses one member, so stale groupview
+	// entries (restarted or departed identities) eventually get asked and
+	// answer "not a member".
 	auditIdx int
-	// departed (StrictRepair) remembers members removed by leave for a
-	// dedup window, so in-flight view-exchange replies built from stale
-	// mirrors cannot resurrect them; a genuine re-join through
-	// acceptMember clears the mark. Lazily allocated.
+	// departed remembers members removed by leave for a dedup window, so
+	// in-flight view-exchange replies built from stale mirrors cannot
+	// resurrect them; a genuine re-join through acceptMember clears the
+	// mark. Lazily allocated.
 	departed map[sim.NodeID]int64
 }
 

@@ -85,6 +85,33 @@ func (m CommMode) String() string {
 
 // Config parameterises a DPS node. The zero value is unusable; start from
 // DefaultConfig.
+//
+// Repair is not configurable: every node runs the §4.3 healing machinery
+// together with the repair rules the chaos harness's invariant checker
+// (internal/chaos) showed the overlay needs to return to a legal
+// configuration in bounded time from any state:
+//
+//   - leadership deference cycles (two members of one group each
+//     believing the other leads, bouncing walks forever after crossed
+//     merges) resolve deterministically to the lower id;
+//   - a dissolving deposed root tells its members and co-owner mirrors
+//     to re-walk or drop their stale mirror state, instead of leaving
+//     them mirroring a root that no longer exists;
+//   - leaderless root mirrors recover through the directory after the
+//     promotion grace period (reassert, reclaim, or demote) instead of
+//     idling forever;
+//   - mutual leadership deference surfaced by the leader ping (each of
+//     two live holders believing the other leads — a corrupted
+//     abdication no failure detector can see) anchors to the lower id;
+//   - tree edges are re-validated against the containment discipline
+//     each exchange round: a predview label that fails to include the
+//     group's own filter is discarded (the group re-walks) and a branch
+//     label escaping the group's filter is dropped — the repairs behind
+//     the corruption fault family of internal/chaos (see
+//     Node.ApplyCorruption);
+//   - a walk unanswered past its retry budget self-anchors its group in
+//     place, and members remember departures for SeenTTL steps so
+//     view exchanges cannot resurrect them.
 type Config struct {
 	Traversal TraversalMode
 	Comm      CommMode
@@ -136,31 +163,7 @@ type Config struct {
 	// SeenTTL bounds the event-deduplication memory.
 	SeenTTL int64
 
-	// StrictRepair enables repair extensions beyond the paper's protocol,
-	// found by the chaos harness's invariant checker (internal/chaos):
-	//
-	//   - leadership deference cycles (two members of one group each
-	//     believing the other leads, bouncing walks forever after crossed
-	//     merges) resolve deterministically to the lower id;
-	//   - a dissolving deposed root tells its members and co-owner mirrors
-	//     to re-walk or drop their stale mirror state, instead of leaving
-	//     them mirroring a root that no longer exists;
-	//   - leaderless root mirrors recover through the directory after the
-	//     promotion grace period (reassert, reclaim, or demote) instead of
-	//     idling forever;
-	//   - mutual leadership deference surfaced by the leader ping (each of
-	//     two live holders believing the other leads — a corrupted
-	//     abdication no failure detector can see) anchors to the lower id;
-	//   - tree edges are re-validated against the containment discipline
-	//     each exchange round: a predview label that fails to include the
-	//     group's own filter is discarded (the group re-walks) and a branch
-	//     label escaping the group's filter is dropped — the repairs behind
-	//     the corruption fault family of internal/chaos (see core.Node.
-	//     ApplyCorruption).
-	//
-	// Off by default so the evaluation experiments replay the paper's
-	// exact protocol (their metric traces are pinned byte-for-byte); the
-	// facade, the live deployments and the chaos suite switch it on.
+	// Deprecated: strict repair is the protocol; this field is ignored.
 	StrictRepair bool
 
 	// BatchEvents turns on the batched event pipeline (batch.go):
@@ -188,19 +191,6 @@ type Config struct {
 	// default so the pinned paper experiments (Table 1 protocol, Fig. 3a)
 	// replay byte-identical traces.
 	CoverRouting bool
-
-	// CoverMerge additionally merges two incomparable sibling walks on
-	// one attribute into their summary filter (the lossless unions of
-	// filter.MergeAttrFiltersExact), widening one routed entry instead of
-	// adding one. Unlike the covering stop and the widening fold — which
-	// only ever reuse filters real subscriptions route anyway — a merged
-	// summary is a synthetic label: under workloads where many nodes
-	// share the same narrow filters, those groups keep existing through
-	// the other nodes and the summary becomes an extra tree stop, so
-	// merging trades routing bytes (always down) against tree forwards
-	// (up when filters are popular, down when they are rare). Off by
-	// default; requires CoverRouting.
-	CoverMerge bool
 
 	// Directory is the attribute→tree bootstrap service shared by the
 	// deployment (see Directory). Required.

@@ -253,11 +253,6 @@ func (p *chaosPopulation) Corrupt(id sim.NodeID, op core.CorruptionOp) bool {
 // after the convergence window.
 func runChaosScenario(opts ChaosOptions, sc chaos.Scenario) (ChaosScenarioResult, error) {
 	c := NewClusterParallel(opts.Config, opts.Seed, opts.Parallelism)
-	// The suite validates the repaired protocol: the invariant checker
-	// found structural defects in the paper-faithful repair machinery
-	// (leadership deference cycles, immortal deposed root mirrors) whose
-	// fixes live behind core.Config.StrictRepair.
-	c.MutateConfig = func(cfg *core.Config) { cfg.StrictRepair = true }
 	gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
 	c.SubscribePopulation(opts.Nodes, opts.SubsPerNode, 25, gen)
 

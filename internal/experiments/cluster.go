@@ -47,12 +47,6 @@ func (s ConfigSpec) apply(cfg *core.Config) {
 		cfg.CrossFanout = s.CrossFanout
 	}
 	cfg.CoverRouting = s.Cover
-	if s.Cover {
-		// Covering's merged labels race concurrent same-label creations;
-		// only the StrictRepair extensions resolve those boundedly
-		// (core.NewNode rejects the combination otherwise).
-		cfg.StrictRepair = true
-	}
 }
 
 // PaperConfigs returns the six configurations of Figure 3(a).

@@ -27,20 +27,13 @@ func TestCoverDeliverySoundness(t *testing.T) {
 			ratio     float64
 		}
 		var coveredCluster *Cluster
-		run := func(cover, merge bool) trace {
+		run := func(cover bool) trace {
 			c := NewCluster(ConfigSpec{
 				Name:      "leader root",
 				Traversal: core.RootBased,
 				Comm:      core.LeaderBased,
 				Cover:     cover,
 			}, seed)
-			// Covering requires StrictRepair; the reference run must match
-			// that repair behavior or delivered sets diverge for reasons
-			// unrelated to the covering layer.
-			c.MutateConfig = func(cfg *core.Config) {
-				cfg.StrictRepair = true
-				cfg.CoverMerge = merge
-			}
 			gen := workload.MustGenerator(workload.Workload2(), seed)
 			c.SubscribePopulation(70, 2, 25, gen)
 			// Full quiescence before publishing: the comparison is exact
@@ -61,26 +54,21 @@ func TestCoverDeliverySoundness(t *testing.T) {
 			}
 			return trace{delivered: c.Tracker.DeliveredPairs(), ratio: c.Tracker.Ratio()}
 		}
-		want := run(false, false)
+		want := run(false)
 		if len(want.delivered) == 0 {
 			t.Fatalf("seed %d: reference run delivered nothing — scenario proves nothing", seed)
 		}
-		// Both covered variants — the default cascade and the sibling-merge
-		// extension — must reproduce the reference delivered sets exactly.
-		for _, merge := range []bool{false, true} {
-			got := run(true, merge)
-			if !reflect.DeepEqual(want.delivered, got.delivered) {
-				for ev, nodes := range want.delivered {
-					if !reflect.DeepEqual(nodes, got.delivered[ev]) {
-						t.Errorf("seed %d merge=%v event %d: delivered %v uncovered vs %v covered",
-							seed, merge, ev, nodes, got.delivered[ev])
-					}
+		got := run(true)
+		if !reflect.DeepEqual(want.delivered, got.delivered) {
+			for ev, nodes := range want.delivered {
+				if !reflect.DeepEqual(nodes, got.delivered[ev]) {
+					t.Errorf("seed %d event %d: delivered %v uncovered vs %v covered",
+						seed, ev, nodes, got.delivered[ev])
 				}
 			}
-			if want.ratio != got.ratio {
-				t.Errorf("seed %d merge=%v: delivery ratio %v covered != %v uncovered",
-					seed, merge, got.ratio, want.ratio)
-			}
+		}
+		if want.ratio != got.ratio {
+			t.Errorf("seed %d: delivery ratio %v covered != %v uncovered", seed, got.ratio, want.ratio)
 		}
 
 		// The run must actually cover — otherwise the equality above is
@@ -128,9 +116,6 @@ func TestCoverCompactsRoutingState(t *testing.T) {
 			Comm:      core.LeaderBased,
 			Cover:     cover,
 		}, 9)
-		// Same repair config on both sides: the delta must be the covering
-		// layer alone.
-		c.MutateConfig = func(cfg *core.Config) { cfg.StrictRepair = true }
 		gen := workload.MustGenerator(workload.Workload2(), 9)
 		c.SubscribePopulation(120, 2, 25, gen)
 		before := c.TreeForwards()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -239,30 +240,39 @@ func TestRunAnalysis(t *testing.T) {
 }
 
 func TestLatencyRootFasterThanGeneric(t *testing.T) {
-	res, err := RunLatency(LatencyOptions{
-		Seed:        1,
-		Nodes:       150,
-		SubsPerNode: 2,
-		Events:      80,
-		Configs:     DefaultLatencyOptions().Configs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	root, generic := res.Rows[0], res.Rows[1]
-	if root.MeanSteps <= 0 || generic.MeanSteps <= 0 {
-		t.Fatalf("degenerate latencies: %+v %+v", root, generic)
-	}
-	// §6: the publication process benefits from root-based traversal.
-	if root.MeanSteps >= generic.MeanSteps {
-		t.Errorf("root mean %.2f should undercut generic %.2f",
-			root.MeanSteps, generic.MeanSteps)
-	}
-	if !strings.Contains(res.Render(), "traversal") {
-		t.Error("render missing header")
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			res, err := RunLatency(LatencyOptions{
+				Seed:        seed,
+				Nodes:       150,
+				SubsPerNode: 2,
+				Events:      80,
+				Configs:     DefaultLatencyOptions().Configs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 2 {
+				t.Fatalf("rows = %d", len(res.Rows))
+			}
+			root, generic := res.Rows[0], res.Rows[1]
+			if root.MeanSteps <= 0 || generic.MeanSteps <= 0 {
+				t.Fatalf("degenerate latencies: %+v %+v", root, generic)
+			}
+			// §6: the publication process benefits from root-based traversal.
+			if root.MeanSteps >= generic.MeanSteps {
+				t.Errorf("root mean %.2f should undercut generic %.2f",
+					root.MeanSteps, generic.MeanSteps)
+			}
+			// The run is fault-free: every matching subscriber must be
+			// notified.
+			if root.Ratio != 1 {
+				t.Errorf("root-based delivery ratio %.4f in a fault-free run, want 1", root.Ratio)
+			}
+			if !strings.Contains(res.Render(), "traversal") {
+				t.Error("render missing header")
+			}
+		})
 	}
 	if _, err := RunLatency(LatencyOptions{}); err == nil {
 		t.Error("invalid options accepted")

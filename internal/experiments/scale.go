@@ -112,15 +112,8 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	}
 	// The paper's default variant: root traversal, leader communication.
 	c := NewClusterParallel(PaperConfigs()[0], opts.Seed, opts.Parallelism)
-	// Both variants run the StrictRepair extensions — covering requires
-	// them (core.NewNode rejects the combination), and the on/off columns
-	// are only comparable when the two runs differ in nothing but the
-	// covering layer itself.
 	cover := opts.CoverRouting
-	c.MutateConfig = func(cfg *core.Config) {
-		cfg.StrictRepair = true
-		cfg.CoverRouting = cover
-	}
+	c.MutateConfig = func(cfg *core.Config) { cfg.CoverRouting = cover }
 	gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
 
 	res := &ScaleResult{Opts: opts, Workers: c.Engine.Workers()}

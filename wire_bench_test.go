@@ -1,92 +1,16 @@
 package dps
 
-// Benchmarks comparing the hand-rolled versioned binary wire codec
-// (internal/wire + internal/core's per-message encoders) against
-// encoding/gob — the serialisation tcpnet started with. The gob arm lives
-// here at the module root on purpose: internal/tcpnet and internal/core
-// are gob-free after the codec migration, and stay that way.
-//
-// The gob arm mirrors the old transport faithfully: one persistent
-// encoder/decoder pair per connection (the type dictionary is paid once
-// and amortised, gob's best case) over exported mirror structs carrying
-// the same field content as the real protocol messages.
+// Benchmark of the versioned binary wire codec (internal/wire + internal/
+// core's per-message encoders) on the messages the event hot path ships.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/filter"
-	"github.com/dps-overlay/dps/internal/sim"
 )
 
-// Exported mirrors of the protocol messages the event hot path ships
-// (publishTree, publishGroup, viewExchange) plus the frame envelope, as
-// the gob transport encoded them.
-type gobFilter struct {
-	Attr      string
-	Preds     []filter.Predicate
-	Empty     bool
-	Universal bool
-}
-
-type gobBranch struct {
-	AF    gobFilter
-	Nodes []sim.NodeID
-}
-
-type gobPublishTree struct {
-	ID     int64
-	Event  filter.Event
-	Attr   string
-	AF     gobFilter
-	Mode   uint8
-	Up     bool
-	FromAF gobFilter
-}
-
-type gobViewExchange struct {
-	AF       gobFilter
-	Members  []sim.NodeID
-	Parent   gobBranch
-	Branches []gobBranch
-	Leader   sim.NodeID
-	CoLead   []sim.NodeID
-	Reply    bool
-}
-
-type gobFrame struct {
-	From    sim.NodeID
-	Addr    string
-	Payload any
-}
-
-func gobFilterOf(preds ...filter.Predicate) gobFilter {
-	return gobFilter{Attr: preds[0].Attr, Preds: preds}
-}
-
-// benchGobPayloads builds the gob mirrors of the hot-path messages,
-// field-for-field equivalent to the codec arm's samples.
-func benchGobPayloads() []any {
-	af := gobFilterOf(filter.Gt("price", 100), filter.Lt("price", 200))
-	child := gobFilterOf(filter.Gt("price", 120), filter.Lt("price", 160))
-	root := gobFilter{Attr: "price", Universal: true}
-	ev := filter.MustEvent(
-		filter.Assignment{Attr: "price", Val: filter.IntValue(150)},
-		filter.Assignment{Attr: "sym", Val: filter.StringValue("acme")},
-	)
-	return []any{
-		gobPublishTree{ID: 77, Event: ev, Attr: "price", AF: af, Mode: 1, Up: true, FromAF: child},
-		gobViewExchange{AF: af, Members: []sim.NodeID{1, 4, 6},
-			Parent:   gobBranch{AF: root, Nodes: []sim.NodeID{1, 2, 3}},
-			Branches: []gobBranch{{AF: child, Nodes: []sim.NodeID{7, 8}}},
-			Leader:   1, CoLead: []sim.NodeID{4}, Reply: true},
-	}
-}
-
-// benchCodecPayloads picks the equivalent real protocol messages out of
-// the codec's sample fixture.
+// benchCodecPayloads picks the event hot path's messages (publishTree,
+// viewExchange) out of the codec's sample fixture.
 func benchCodecPayloads(b *testing.B) []any {
 	var out []any
 	for _, s := range core.WireSamples() {
@@ -105,75 +29,35 @@ func benchCodecPayloads(b *testing.B) []any {
 	return out
 }
 
-// BenchmarkWireCodecVsGob/codec-* and /gob-* compare encode and decode of
-// the same hot-path message content. The acceptance bar for the codec
-// migration: the codec arm wins on both ns/op and allocs/op.
-func BenchmarkWireCodecVsGob(b *testing.B) {
-	gob.Register(gobPublishTree{})
-	gob.Register(gobViewExchange{})
+// BenchmarkWireCodec/encode and /decode time the codec on the hot-path
+// messages; the bench guard tracks both on ns/op and allocs/op.
+func BenchmarkWireCodec(b *testing.B) {
+	payloads := benchCodecPayloads(b)
 
-	codecPayloads := benchCodecPayloads(b)
-	gobPayloads := benchGobPayloads()
-
-	b.Run("codec-encode", func(b *testing.B) {
+	b.Run("encode", func(b *testing.B) {
 		var buf []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var err error
-			buf, err = core.AppendMessage(buf[:0], codecPayloads[i%len(codecPayloads)])
+			buf, err = core.AppendMessage(buf[:0], payloads[i%len(payloads)])
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("gob-encode", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf) // persistent stream: gob's best case
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := enc.Encode(gobFrame{From: 7, Addr: "127.0.0.1:7001",
-				Payload: gobPayloads[i%len(gobPayloads)]}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
-	// Pre-encode one message per arm for the decode comparison.
-	codecFrames := make([][]byte, len(codecPayloads))
-	for i, p := range codecPayloads {
+	frames := make([][]byte, len(payloads))
+	for i, p := range payloads {
 		data, err := core.AppendMessage(nil, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		codecFrames[i] = data
+		frames[i] = data
 	}
-	b.Run("codec-decode", func(b *testing.B) {
+	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecodeMessage(codecFrames[i%len(codecFrames)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob-decode", func(b *testing.B) {
-		// A persistent gob stream decodes in lockstep with its encoder:
-		// mimic a long-lived connection by pre-encoding b.N frames into
-		// one stream outside the timer, then timing the decode side.
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(gobFrame{From: 7, Addr: "127.0.0.1:7001",
-				Payload: gobPayloads[i%len(gobPayloads)]}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		dec := gob.NewDecoder(&buf)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var f gobFrame
-			if err := dec.Decode(&f); err != nil {
+			if _, err := core.DecodeMessage(frames[i%len(frames)]); err != nil {
 				b.Fatal(err)
 			}
 		}
