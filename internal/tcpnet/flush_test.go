@@ -2,11 +2,10 @@ package tcpnet
 
 // Tests for the buffered write path (send → pending encoder →
 // flushPending/flushConn) and the pooled-encoder ownership rules it
-// relies on. These pin the tentpole's transport half: frames coalesce in
-// the connection's pooled encoder, leave in one write per iteration in
-// send order, oversized pending buffers flush mid-iteration, and a dead
-// connection accounts every buffered frame before the encoder is
-// recycled.
+// relies on. These pin that frames coalesce in the connection's pooled
+// encoder, leave in one write per drained burst in send order, oversized
+// pending buffers flush mid-burst, and a dead connection accounts every
+// buffered frame before the encoder is recycled.
 
 import (
 	"bytes"
@@ -147,6 +146,98 @@ func TestFlushCoalescesFrames(t *testing.T) {
 	}
 }
 
+// runBurst blocks the mainLoop inside one command, queues k more commands
+// behind it, each sending one frame to peer 2, then releases the loop.
+// It returns the pendFrames count each queued command saw on entry (on
+// the peer's connection, established beforehand) and the frames the
+// commands sent, in send order.
+func runBurst(t *testing.T, tr *Transport, k int) (seen []int, want [][]byte) {
+	t.Helper()
+	samples := core.WireSamples()
+	started, release := make(chan struct{}), make(chan struct{})
+	blocked := make(chan error, 1)
+	go func() { blocked <- tr.Do(func() { close(started); <-release }) }()
+	<-started
+	seen = make([]int, k)
+	done := make(chan struct{}, k)
+	for i := 0; i < k; i++ {
+		i, s := i, samples[i%len(samples)]
+		body, err := appendTransportFrame(nil, 1, tr.Addr(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, body[frameHeaderLen:])
+		// Queued straight onto the inbox, the way Do queues, so the
+		// k commands sit there in order while the loop is blocked.
+		tr.inbox <- inboxItem{cmd: func() {
+			seen[i] = tr.conns[2].pendFrames
+			tr.send(2, s)
+			done <- struct{}{}
+		}}
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		<-done
+	}
+	return seen, want
+}
+
+// TestDrainFlushesOncePerBurst: commands already queued when the loop
+// wakes run back to back with no flush between them — command i finds
+// the i−1 frames its predecessors sent still pending — and their frames
+// then arrive in send order. A queue longer than maxDrain is cut into
+// bursts: the command after the first maxDrain items finds a flushed
+// connection.
+func TestDrainFlushesOncePerBurst(t *testing.T) {
+	peer := newFakePeer(t)
+	tr := startFlushTransport(t, 1)
+	tr.AddPeer(2, peer.ln.Addr().String())
+	samples := core.WireSamples()
+	// Establish the connection so every queued command can read it.
+	if err := tr.Do(func() { tr.send(2, samples[0]) }); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(t, 5*time.Second, func() bool { return len(peer.received()) == 1 }) {
+		t.Fatal("first frame never arrived")
+	}
+
+	const k = 5
+	seen, want := runBurst(t, tr, k)
+	for i, n := range seen {
+		if n != i {
+			t.Errorf("queued command %d saw %d pending frames, want %d (a flush ran inside the burst)", i+1, n, i)
+		}
+	}
+	if !waitUntil(t, 5*time.Second, func() bool { return len(peer.received()) == 1+k }) {
+		t.Fatalf("received %d frames, want %d", len(peer.received()), 1+k)
+	}
+	for i, body := range peer.received()[1:] {
+		if !bytes.Equal(body, want[i]) {
+			t.Errorf("frame %d arrived out of send order", i)
+		}
+	}
+
+	// The blocking command is the burst's first item, so the burst ends
+	// after maxDrain−1 queued commands and the next one starts a new
+	// burst on a flushed connection.
+	seen, _ = runBurst(t, tr, maxDrain+1)
+	for i, n := range seen {
+		want := i
+		if i >= maxDrain-1 {
+			want = i - (maxDrain - 1)
+		}
+		if n != want {
+			t.Fatalf("queued command %d saw %d pending frames, want %d (maxDrain = %d)", i+1, n, want, maxDrain)
+		}
+	}
+	if !waitUntil(t, 5*time.Second, func() bool { return len(peer.received()) == 1+k+maxDrain+1 }) {
+		t.Fatalf("received %d frames, want %d", len(peer.received()), 1+k+maxDrain+1)
+	}
+}
+
 // TestFlushThresholdBoundsPendingBuffer: a burst that outgrows
 // flushThreshold within one iteration flushes mid-iteration, so pending
 // bytes never exceed threshold + one frame.
@@ -212,6 +303,12 @@ func TestFlushDeadConnectionDropsPending(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+	// The failing flush ends the burst that ran the staged command; a
+	// command queued right behind it may share that burst, so wait for
+	// the flush's accounting before looking at the table.
+	if !waitUntil(t, 5*time.Second, func() bool { return tr.Dropped()-before >= staged }) {
+		t.Fatalf("dropped %d frames, want %d (every buffered frame)", tr.Dropped()-before, staged)
 	}
 	if err := tr.Do(func() {
 		if tr.conns[2] != nil {

@@ -53,6 +53,7 @@ type Transport struct {
 	cfg  Config
 	proc sim.Process
 	ln   net.Listener
+	addr string // ln's address, stamped on every outbound frame
 	rng  *rand.Rand
 
 	clock atomic.Int64
@@ -71,7 +72,7 @@ type Transport struct {
 
 	// flushQ lists connections with pending frames, in first-write order.
 	// mainLoop-goroutine state: send() fills it, flushPending drains it
-	// after every message, command and tick.
+	// after every drained burst and every tick.
 	flushQ []*outConn
 }
 
@@ -98,6 +99,12 @@ type outConn struct {
 // flushThreshold force-flushes a connection whose pending buffer grows
 // past this size mid-iteration, bounding memory under bursts.
 const flushThreshold = 64 << 10
+
+// maxDrain caps a burst: the inbox items (messages and commands) mainLoop
+// handles back to back before it flushes. The cap bounds how long a
+// handled item's frames wait in the buffer and how long a due tick waits
+// behind a full inbox.
+const maxDrain = 64
 
 // env adapts Transport to sim.Env.
 type env struct{ t *Transport }
@@ -131,6 +138,7 @@ func New(cfg Config, proc sim.Process) (*Transport, error) {
 		cfg:     cfg,
 		proc:    proc,
 		ln:      ln,
+		addr:    ln.Addr().String(),
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)*0x5DEECE66D)),
 		book:    make(map[sim.NodeID]string),
 		conns:   make(map[sim.NodeID]*outConn),
@@ -147,7 +155,7 @@ func New(cfg Config, proc sim.Process) (*Transport, error) {
 }
 
 // Addr returns the bound listen address.
-func (t *Transport) Addr() string { return t.ln.Addr().String() }
+func (t *Transport) Addr() string { return t.addr }
 
 // AddPeer teaches the transport where to reach another node.
 func (t *Transport) AddPeer(id sim.NodeID, addr string) {
@@ -213,20 +221,37 @@ func (t *Transport) mainLoop() {
 		case <-t.stop:
 			return
 		case item := <-t.inbox:
-			if item.cmd != nil {
-				item.cmd()
-			} else {
-				t.proc.OnMessage(item.from, item.msg)
+			// Handle the burst already queued behind this item, without
+			// blocking and at most maxDrain items, before flushing.
+			t.handle(item)
+		drain:
+			for n := 1; n < maxDrain; n++ {
+				select {
+				case item = <-t.inbox:
+					t.handle(item)
+				default:
+					break drain
+				}
 			}
 		case <-ticker.C:
 			t.clock.Add(1)
 			t.proc.OnTick()
 		}
-		// One write per connection per iteration: everything the handler
-		// just sent — a batched-events frame plus whatever control
-		// traffic shares the link — leaves in a single syscall, and
-		// nothing lingers in the buffer while the loop blocks in select.
+		// One write per connection per iteration: everything the burst's
+		// handlers (or the tick) just sent — batched-events frames plus
+		// whatever control traffic shares the link — leaves in a single
+		// syscall, and nothing lingers in the buffer while the loop blocks
+		// in select.
 		t.flushPending()
+	}
+}
+
+// handle runs one inbox item on the mainLoop goroutine.
+func (t *Transport) handle(item inboxItem) {
+	if item.cmd != nil {
+		item.cmd()
+	} else {
+		t.proc.OnMessage(item.from, item.msg)
 	}
 }
 
@@ -263,6 +288,10 @@ func (t *Transport) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	fr := newFrameReader(conn)
+	// The return address last learned from this connection: a stream
+	// carries one sender, so the book is written only when it changes.
+	var learnedFrom sim.NodeID
+	var learnedAddr string
 	for {
 		body, err := fr.next()
 		if err != nil {
@@ -279,8 +308,9 @@ func (t *Transport) readLoop(conn net.Conn) {
 			// network leaks nothing), and the connection stays.
 			continue
 		}
-		if addr != "" {
+		if addr != "" && (from != learnedFrom || addr != learnedAddr) {
 			t.AddPeer(from, addr) // learn return paths
+			learnedFrom, learnedAddr = from, addr
 		}
 		select {
 		case t.inbox <- inboxItem{from: from, msg: payload}:
@@ -328,7 +358,7 @@ func (t *Transport) send(to sim.NodeID, msg any) {
 			t.mu.Unlock()
 		}
 	}
-	buf, err := appendTransportFrame(c.enc.Buf, t.cfg.ID, t.Addr(), msg)
+	buf, err := appendTransportFrame(c.enc.Buf, t.cfg.ID, t.addr, msg)
 	c.enc.Buf = buf // on error the frame is truncated away, pending stays
 	if err != nil {
 		// Unencodable payload (not a protocol message, or over the frame
@@ -347,7 +377,8 @@ func (t *Transport) send(to sim.NodeID, msg any) {
 }
 
 // flushPending writes out every connection with buffered frames, in
-// first-write order. Runs on the mainLoop goroutine after each handler.
+// first-write order. Runs on the mainLoop goroutine after each burst or
+// tick.
 func (t *Transport) flushPending() {
 	if len(t.flushQ) == 0 {
 		return

@@ -252,3 +252,92 @@ func TestAttrFilterWireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// echoProc answers every message by sending it back to its sender.
+type echoProc struct{ env sim.Env }
+
+func (p *echoProc) Attach(e sim.Env)                 { p.env = e }
+func (p *echoProc) OnMessage(from sim.NodeID, m any) { p.env.Send(from, m) }
+func (p *echoProc) OnTick()                          {}
+
+// replyProc reports the sender of every message it receives.
+type replyProc struct{ from chan sim.NodeID }
+
+func (replyProc) Attach(sim.Env) {}
+func (p replyProc) OnMessage(from sim.NodeID, _ any) {
+	select {
+	case p.from <- from:
+	default:
+	}
+}
+func (replyProc) OnTick() {}
+
+// TestReturnPathLearnedFromFrames: a transport never told a sender's
+// address replies to it after one frame, because every frame carries the
+// sender's listen address; and a sender restarted on a new port is
+// learned again from the first frame on its new connection.
+func TestReturnPathLearnedFromFrames(t *testing.T) {
+	echo, err := New(Config{ID: 2, Listen: "127.0.0.1:0", TickEvery: time.Hour}, &echoProc{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = echo.Close() })
+
+	payload := core.WireSamples()[0]
+	// pingUntilReply sends from id 1 until the echo comes back: a reply
+	// sent down a connection to a closed port may be lost before the
+	// echo side notices the dead link and re-dials.
+	pingUntilReply := func(tr *Transport, replies chan sim.NodeID) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			if err := tr.Do(func() { tr.send(2, payload) }); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case from := <-replies:
+				if from != 2 {
+					t.Fatalf("reply from %d, want 2", from)
+				}
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		t.Fatalf("no reply from a transport that was never told %s", tr.Addr())
+	}
+	book := func() string {
+		echo.mu.Lock()
+		defer echo.mu.Unlock()
+		return echo.book[1]
+	}
+
+	start := func() (*Transport, chan sim.NodeID) {
+		replies := make(chan sim.NodeID, 1)
+		tr, err := New(Config{ID: 1, Listen: "127.0.0.1:0", TickEvery: time.Hour}, replyProc{from: replies})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = tr.Close() })
+		tr.AddPeer(2, echo.Addr())
+		return tr, replies
+	}
+
+	first, replies := start()
+	if got := book(); got != "" {
+		t.Fatalf("echo side knows id 1 at %q before any frame", got)
+	}
+	pingUntilReply(first, replies)
+	if got := book(); got != first.Addr() {
+		t.Errorf("learned %q for id 1, want %q", got, first.Addr())
+	}
+	_ = first.Close()
+
+	second, replies := start()
+	if second.Addr() == first.Addr() {
+		t.Skip("restarted sender got the same port; nothing to relearn")
+	}
+	pingUntilReply(second, replies)
+	if got := book(); got != second.Addr() {
+		t.Errorf("after restart learned %q for id 1, want %q", got, second.Addr())
+	}
+}
