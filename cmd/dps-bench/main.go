@@ -26,8 +26,8 @@
 // excluded from -experiment all and must be selected explicitly.
 //
 // The throughput experiment measures the sustained event pipeline on all
-// three engines, batched and unbatched (internal/conform.RunThroughput):
-// a publish storm at a fixed per-tick burst rate, reporting sustained
+// three engines, one run each (internal/conform.RunThroughput): a
+// publish storm at a fixed per-tick burst rate, reporting sustained
 // events/sec (steady-state delivered-pair arrival rate) and wall-clock
 // delivery latency percentiles. In -json each run carries
 // "events_per_sec" (float, sustained delivered pairs per second),
@@ -343,9 +343,9 @@ func registry() []experimentEntry {
 			opts := conform.DefaultThroughputOptions()
 			opts.Seed = seed
 			opts.Workers = parallel
-			// The tuned sustained configuration: dense bursts, long ticks,
-			// sparse subscriptions — the regime the batched pipeline's
-			// speedup claim is measured in (see TestThroughputNightly).
+			// The nightly configuration: dense bursts, long ticks, sparse
+			// subscriptions (see TestThroughputNightly, which asserts the
+			// live engines' p50 latency stays below one tick here).
 			opts.Nodes = scaleInt(32, scale, 8)
 			opts.SubsPerNode = 1
 			opts.Events = scaleInt(12000, scale, 400)

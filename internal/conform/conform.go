@@ -187,13 +187,6 @@ type Options struct {
 	LossMargin float64 `json:"loss_margin"`
 	// Workers is the cycle engine's worker count (0/1 sequential).
 	Workers int `json:"workers,omitempty"`
-	// Batch runs every node with the batched event pipeline
-	// (core.Config.BatchEvents): relays coalesce the events they forward
-	// per link per tick into one frame. The conformance matrix with Batch
-	// on is the cross-engine half of the batching-equivalence contract —
-	// the cycle-engine half (bit-identical traces) lives in
-	// internal/experiments.
-	Batch bool `json:"batch,omitempty"`
 	// Cover runs every node with the subscription-covering layer
 	// (core.Config.CoverRouting): included filters ride on wider routed
 	// entries instead of groups of their own. The Cover dimension checks
@@ -249,10 +242,9 @@ func (o Options) withDefaults() Options {
 // paper's default (root-based traversal, leader communication) — the
 // same variant the chaos suite validates on the cycle engine, so
 // cross-engine differences isolate the runtime, not the protocol.
-func nodeConfig(dir core.Directory, batch, cover bool) core.Config {
+func nodeConfig(dir core.Directory, cover bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Directory = dir
-	cfg.BatchEvents = batch
 	cfg.CoverRouting = cover
 	return cfg
 }

@@ -64,46 +64,6 @@ func TestConformSmoke(t *testing.T) {
 	}
 }
 
-// TestConformBatching is the batching dimension of the conformance
-// matrix: the same preset as the PR-gate smoke, but with every node on
-// every engine running the batched event pipeline
-// (core.Config.BatchEvents). The differential oracle holds batched live
-// engines to the same delivered-set agreement against the batched sim
-// reference, and false deliveries stay zero-tolerance — an ordering or
-// framing bug in batch encode/decode would surface here as a divergence
-// the unbatched matrix cannot show.
-func TestConformBatching(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Scenarios = []string{"crash-burst"}
-	opts.Batch = true
-	res, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := res.Scenarios[0]
-	if len(sc.Runs) != 3 || len(sc.Diffs) != 2 {
-		t.Fatalf("runs = %d, diffs = %d; want 3, 2", len(sc.Runs), len(sc.Diffs))
-	}
-	for _, run := range sc.Runs {
-		if !run.FinalClean {
-			t.Errorf("%s: final sweep dirty with batching on: %+v", run.Engine, run.FinalCheck)
-		}
-		if run.FalseDeliveries != 0 {
-			t.Errorf("%s: %d false deliveries with batching on", run.Engine, run.FalseDeliveries)
-		}
-		if run.Events == 0 || run.ExpectedPairs == 0 {
-			t.Errorf("%s: no tracked workload ran (events=%d expected=%d)",
-				run.Engine, run.Events, run.ExpectedPairs)
-		}
-	}
-	for _, d := range sc.Diffs {
-		if !d.Pass {
-			t.Errorf("%s: differential oracle failed with batching on: agreement=%.4f gap=%.4f false=%d",
-				d.Engine, d.Agreement, d.RatioGap, d.FalseDeliveries)
-		}
-	}
-}
-
 // TestConformCorruptionAcrossEngines is the self-stabilization smoke on
 // the live runtimes: the corruption preset must materialise its scripted
 // ops on every engine (via Peer.Do / Transport.Do on the goroutine

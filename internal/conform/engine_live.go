@@ -22,7 +22,6 @@ type liveEngine struct {
 	pop   *population
 	rec   *recorder
 	tick  time.Duration
-	batch bool
 	cover bool
 	nodes map[sim.NodeID]*core.Node
 	peers map[sim.NodeID]*livenet.Peer
@@ -37,7 +36,6 @@ func newLiveEngine(opts Options, pop *population, rec *recorder) *liveEngine {
 		pop:   pop,
 		rec:   rec,
 		tick:  opts.TickEvery,
-		batch: opts.Batch,
 		cover: opts.Cover,
 		nodes: make(map[sim.NodeID]*core.Node),
 		peers: make(map[sim.NodeID]*livenet.Peer),
@@ -64,7 +62,7 @@ func (e *liveEngine) AwaitStep(step int64) {
 }
 
 func (e *liveEngine) buildNode() *core.Node {
-	cfg := nodeConfig(aliveDirectory{Directory: e.dir, alive: e.hub.Alive}, e.batch, e.cover)
+	cfg := nodeConfig(aliveDirectory{Directory: e.dir, alive: e.hub.Alive}, e.cover)
 	node, err := core.NewNode(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config

@@ -20,7 +20,6 @@ type simEngine struct {
 	nodes map[sim.NodeID]*core.Node
 	pop   *population
 	rec   *recorder
-	batch bool
 	cover bool
 
 	lossDrops, partitionDrops int64
@@ -34,7 +33,6 @@ func newSimEngine(opts Options, pop *population, rec *recorder) *simEngine {
 		nodes: make(map[sim.NodeID]*core.Node),
 		pop:   pop,
 		rec:   rec,
-		batch: opts.Batch,
 		cover: opts.Cover,
 	}
 	e.Engine = sim.NewEngine(sim.Config{
@@ -63,7 +61,7 @@ func (e *simEngine) AwaitStep(step int64) {
 }
 
 func (e *simEngine) buildNode() *core.Node {
-	cfg := nodeConfig(aliveDirectory{Directory: e.dir, alive: e.Engine.Alive}, e.batch, e.cover)
+	cfg := nodeConfig(aliveDirectory{Directory: e.dir, alive: e.Engine.Alive}, e.cover)
 	node, err := core.NewNode(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config

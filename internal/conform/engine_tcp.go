@@ -29,7 +29,6 @@ type tcpEngine struct {
 	rec   *recorder
 	tick  time.Duration
 	seed  int64
-	batch bool
 	cover bool
 	start time.Time
 
@@ -65,7 +64,6 @@ func newTCPEngine(opts Options, pop *population, rec *recorder) (*tcpEngine, err
 		rec:          rec,
 		tick:         opts.TickEvery,
 		seed:         opts.Seed,
-		batch:        opts.Batch,
 		cover:        opts.Cover,
 		start:        time.Now(),
 		dirSrv:       srv,
@@ -137,7 +135,7 @@ func (e *tcpEngine) AliveCount() int {
 // every live peer (both address-book directions).
 func (e *tcpEngine) spawn(id sim.NodeID) *tcpPeer {
 	dc := tcpnet.DialDirectory(e.dirSrv.Addr())
-	cfg := nodeConfig(aliveDirectory{Directory: dc, alive: e.alive}, e.batch, e.cover)
+	cfg := nodeConfig(aliveDirectory{Directory: dc, alive: e.alive}, e.cover)
 	node, err := core.NewNode(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config

@@ -21,9 +21,9 @@ import (
 // peer/transport goroutines for live engines, so the log is
 // mutex-guarded; everything else is runner-goroutine only.
 // deliverShards spreads the delivery log across independently locked
-// shards (by recipient id): with the batched pipeline a whole batch of
-// deliveries fires back-to-back on each of N node goroutines at tick
-// boundaries, and a single log mutex becomes the contention point the
+// shards (by recipient id): under a publish storm every node goroutine
+// fires delivery hooks back-to-back as each drained burst of events is
+// handled, and a single log mutex becomes the contention point the
 // throughput experiment would end up measuring instead of the engines.
 const deliverShards = 16
 

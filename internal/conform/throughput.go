@@ -12,15 +12,14 @@ import (
 	"github.com/dps-overlay/dps/internal/workload"
 )
 
-// Throughput is the sustained-load experiment of the batched event
-// pipeline: the same population bootstrap as a conformance run, then a
-// fault-free publish storm — bursts of tracked events from random live
-// publishers, paced one burst per engine step — measured in wall-clock
-// terms on all three engines, batched and unbatched. It answers the
-// question the conformance matrix deliberately doesn't: not "is the
-// batched pipeline equivalent" (TestConformBatching, the equivalence
-// suite) but "what does batching buy" — sustained delivered pairs per
-// second and per-delivery latency, engine by engine.
+// Throughput is the sustained-load experiment of the event pipeline:
+// the same population bootstrap as a conformance run, then a fault-free
+// publish storm — bursts of tracked events from random live publishers,
+// paced one burst per engine step — measured in wall-clock terms on all
+// three engines. It answers the question the conformance matrix
+// deliberately doesn't: not "does every engine deliver the same pairs"
+// but "how fast, and how soon" — sustained delivered pairs per second
+// and per-delivery latency, engine by engine.
 //
 // Latency is publish-wall-time to delivery-hook-wall-time per
 // (event, node) pair; on the cycle engine steps are as fast as the CPU
@@ -47,8 +46,8 @@ type ThroughputOptions struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// DefaultThroughputOptions sizes the run so the full six-cell matrix
-// (three engines × batched/unbatched) stays CI-viable.
+// DefaultThroughputOptions sizes the run so all three engines stay
+// CI-viable.
 func DefaultThroughputOptions() ThroughputOptions {
 	return ThroughputOptions{
 		Seed:        1,
@@ -83,10 +82,9 @@ func (o ThroughputOptions) withDefaults() ThroughputOptions {
 	return o
 }
 
-// ThroughputRun is one cell: one engine, batching on or off.
+// ThroughputRun is one engine's measurement.
 type ThroughputRun struct {
-	Engine  string `json:"engine"`
-	Batched bool   `json:"batched"`
+	Engine string `json:"engine"`
 	// Events is the tracked-event count, DeliveredPairs the (event, node)
 	// deliveries observed, ExpectedPairs the oracle's expectation.
 	Events         int `json:"events"`
@@ -107,59 +105,29 @@ type ThroughputRun struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// ThroughputResult bundles the engine × batching matrix.
+// ThroughputResult bundles one run per engine.
 type ThroughputResult struct {
 	Runs []ThroughputRun   `json:"runs"`
 	Opts ThroughputOptions `json:"opts"`
 }
 
-// Speedup returns the batched/unbatched events-per-second ratio for the
-// named engine, or 0 when either cell is missing.
-func (r *ThroughputResult) Speedup(engine string) float64 {
-	var on, off float64
-	for _, run := range r.Runs {
-		if run.Engine != engine {
-			continue
-		}
-		if run.Batched {
-			on = run.EventsPerSec
-		} else {
-			off = run.EventsPerSec
-		}
-	}
-	if off == 0 {
-		return 0
-	}
-	return on / off
-}
-
-// Render prints the matrix, one row per cell.
+// Render prints one row per engine.
 func (r *ThroughputResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Throughput — sustained event pipeline, batched vs unbatched\n")
-	fmt.Fprintf(&b, "(%d nodes × %d subscriptions, %d events in bursts of %d, seed %d)\n",
-		r.Opts.Nodes, r.Opts.SubsPerNode, r.Opts.Events, r.Opts.Burst, r.Opts.Seed)
-	fmt.Fprintf(&b, "%-6s %-9s %14s %12s %12s %12s\n",
-		"engine", "pipeline", "events/sec", "p50 ms", "p99 ms", "pairs")
+	fmt.Fprintf(&b, "Throughput — sustained event pipeline\n")
+	fmt.Fprintf(&b, "(%d nodes × %d subscriptions, %d events in bursts of %d, tick %v, seed %d)\n",
+		r.Opts.Nodes, r.Opts.SubsPerNode, r.Opts.Events, r.Opts.Burst, r.Opts.TickEvery, r.Opts.Seed)
+	fmt.Fprintf(&b, "%-6s %14s %12s %12s %12s\n",
+		"engine", "events/sec", "p50 ms", "p99 ms", "pairs")
 	for _, run := range r.Runs {
-		mode := "unbatched"
-		if run.Batched {
-			mode = "batched"
-		}
-		fmt.Fprintf(&b, "%-6s %-9s %14.0f %12.3f %12.3f %7d/%d\n",
-			run.Engine, mode, run.EventsPerSec, run.LatencyP50MS, run.LatencyP99MS,
+		fmt.Fprintf(&b, "%-6s %14.0f %12.3f %12.3f %7d/%d\n",
+			run.Engine, run.EventsPerSec, run.LatencyP50MS, run.LatencyP99MS,
 			run.DeliveredPairs, run.ExpectedPairs)
-	}
-	for _, name := range r.Opts.Engines {
-		if s := r.Speedup(name); s > 0 {
-			fmt.Fprintf(&b, "%s speedup: %.2fx batched over unbatched\n", name, s)
-		}
 	}
 	return b.String()
 }
 
-// RunThroughput measures every requested engine with batching off and
-// then on, fresh overlay per cell.
+// RunThroughput measures every requested engine, fresh overlay per run.
 func RunThroughput(opts ThroughputOptions) (*ThroughputResult, error) {
 	opts = opts.withDefaults()
 	if opts.Nodes < 4 {
@@ -173,26 +141,23 @@ func RunThroughput(opts ThroughputOptions) (*ThroughputResult, error) {
 			return nil, fmt.Errorf("conform: unknown engine %q (have %s)",
 				name, strings.Join(EngineNames(), ", "))
 		}
-		for _, batched := range []bool{false, true} {
-			run, err := runThroughputOn(name, opts, batched)
-			if err != nil {
-				return nil, err
-			}
-			res.Runs = append(res.Runs, *run)
+		run, err := runThroughputOn(name, opts)
+		if err != nil {
+			return nil, err
 		}
+		res.Runs = append(res.Runs, *run)
 	}
 	return res, nil
 }
 
-// runThroughputOn measures one cell: bootstrap, publish storm, drain.
-func runThroughputOn(name string, opts ThroughputOptions, batched bool) (*ThroughputRun, error) {
+// runThroughputOn measures one engine: bootstrap, publish storm, drain.
+func runThroughputOn(name string, opts ThroughputOptions) (*ThroughputRun, error) {
 	eng := Options{
 		Seed:        opts.Seed,
 		Nodes:       opts.Nodes,
 		SubsPerNode: opts.SubsPerNode,
 		TickEvery:   opts.TickEvery,
 		Workers:     opts.Workers,
-		Batch:       batched,
 	}.withDefaults()
 	gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
 	pop := newPopulation(gen, opts.SubsPerNode)
@@ -234,8 +199,8 @@ func runThroughputOn(name string, opts ThroughputOptions, batched bool) (*Throug
 	// Publish storm: Burst events per step from random live publishers,
 	// each publisher's share of a burst injected in one scheduling round
 	// (PublishMany). Every event is stamped before its bulk goes out, so
-	// latency includes the publisher-side pipeline (encode, staging,
-	// flush), not just relay hops.
+	// latency includes the publisher-side pipeline (encode, flush), not
+	// just relay hops.
 	// Oracle matching (expected sets) happens after the drain: the
 	// population is static during the storm, so expected recipients are
 	// the same either way, and the semtree walks stay out of the timed
@@ -309,7 +274,6 @@ func runThroughputOn(name string, opts ThroughputOptions, batched bool) (*Throug
 	pairs, sorted, arrivals, last := rec.latencySummary()
 	run := &ThroughputRun{
 		Engine:         name,
-		Batched:        batched,
 		Events:         opts.Events,
 		DeliveredPairs: pairs,
 	}

@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// TestThroughputSmoke is the PR-gate throughput check: a small matrix on
+// TestThroughputSmoke is the PR-gate throughput check: a small run on
 // the sim engine only (deterministic, no wall-clock flake surface),
-// verifying the runner's plumbing — both pipeline modes measured, pairs
-// delivered, rates and percentiles populated, JSON round-trips. The
-// wall-clock claims (three engines, tcp speedup) run nightly.
+// verifying the runner's plumbing — pairs delivered, rates and
+// percentiles populated, JSON round-trips. The wall-clock claims (three
+// engines, latency under one tick) run nightly.
 func TestThroughputSmoke(t *testing.T) {
 	opts := DefaultThroughputOptions()
 	opts.Events = 80
@@ -20,32 +20,25 @@ func TestThroughputSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 2 {
-		t.Fatalf("runs = %d, want unbatched + batched", len(res.Runs))
+	if len(res.Runs) != 1 {
+		t.Fatalf("runs = %d, want one per engine", len(res.Runs))
 	}
-	if res.Runs[0].Batched || !res.Runs[1].Batched {
-		t.Fatalf("run order = %+v, want unbatched then batched", res.Runs)
+	run := res.Runs[0]
+	if run.DeliveredPairs == 0 || run.ExpectedPairs == 0 {
+		t.Errorf("%s: no deliveries (pairs=%d expected=%d)",
+			run.Engine, run.DeliveredPairs, run.ExpectedPairs)
 	}
-	for _, run := range res.Runs {
-		if run.DeliveredPairs == 0 || run.ExpectedPairs == 0 {
-			t.Errorf("%s batched=%v: no deliveries (pairs=%d expected=%d)",
-				run.Engine, run.Batched, run.DeliveredPairs, run.ExpectedPairs)
-		}
-		if run.EventsPerSec <= 0 {
-			t.Errorf("%s batched=%v: events_per_sec = %v", run.Engine, run.Batched, run.EventsPerSec)
-		}
-		if run.LatencyP99MS < run.LatencyP50MS {
-			t.Errorf("%s batched=%v: p99 %v < p50 %v", run.Engine, run.Batched,
-				run.LatencyP99MS, run.LatencyP50MS)
-		}
+	if run.EventsPerSec <= 0 {
+		t.Errorf("%s: events_per_sec = %v", run.Engine, run.EventsPerSec)
 	}
-	// Both modes must deliver every expected pair: the storm is loss-free
-	// on the cycle engine, so a shortfall is a pipeline bug, not noise.
-	for _, run := range res.Runs {
-		if run.DeliveredPairs != run.ExpectedPairs {
-			t.Errorf("%s batched=%v: delivered %d of %d expected pairs",
-				run.Engine, run.Batched, run.DeliveredPairs, run.ExpectedPairs)
-		}
+	if run.LatencyP99MS < run.LatencyP50MS {
+		t.Errorf("%s: p99 %v < p50 %v", run.Engine, run.LatencyP99MS, run.LatencyP50MS)
+	}
+	// The storm is loss-free on the cycle engine, so a shortfall is a
+	// pipeline bug, not noise.
+	if run.DeliveredPairs != run.ExpectedPairs {
+		t.Errorf("%s: delivered %d of %d expected pairs",
+			run.Engine, run.DeliveredPairs, run.ExpectedPairs)
 	}
 	if res.Render() == "" {
 		t.Error("empty render")
@@ -73,12 +66,15 @@ type errInvalid string
 
 func (e errInvalid) Error() string { return string(e) }
 
-// TestThroughputNightly is the wall-clock half of the tentpole claim: all
-// three engines measured batched and unbatched, with the acceptance
-// assertion that the batched pipeline at least doubles sustained
-// events/sec on the real-TCP engine — the engine whose frame writes and
-// inbox pressure the batch coalescing exists to amortise. Gated behind
-// CONFORM_NIGHTLY=1 like the conformance matrix: the speedup is a claim
+// TestThroughputNightly is the wall-clock half of the throughput
+// experiment: all three engines under a sustained publish storm. Every
+// engine must deliver every expected pair, and on the live engines
+// (livenet, tcpnet) the median publish-to-delivery latency must stay
+// below one tick. Each hop is forwarded the moment its handler runs, so
+// an event crosses the tree within the tick it was published in; a
+// pipeline that held forwarded events until the end of the tick would
+// cost up to a tick per hop and fail here. Gated behind
+// CONFORM_NIGHTLY=1 like the conformance matrix: latency is a claim
 // about a quiet machine, not a PR runner under arbitrary load.
 func TestThroughputNightly(t *testing.T) {
 	if os.Getenv("CONFORM_NIGHTLY") == "" {
@@ -95,44 +91,28 @@ func TestThroughputNightly(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", res.Render())
-	if len(res.Runs) != 6 {
-		t.Fatalf("runs = %d, want 3 engines x 2 modes", len(res.Runs))
+	if len(res.Runs) != 3 {
+		t.Fatalf("runs = %d, want one per engine", len(res.Runs))
 	}
+	tick := float64(opts.TickEvery) / float64(time.Millisecond)
 	for _, run := range res.Runs {
 		if run.DeliveredPairs == 0 || run.EventsPerSec <= 0 {
-			t.Errorf("%s batched=%v: empty cell (%+v)", run.Engine, run.Batched, run)
+			t.Errorf("%s: empty run (%+v)", run.Engine, run)
 		}
-	}
-	// Under the race detector the instrumentation cost dominates both
-	// pipelines and the syscall amortisation the speedup measures
-	// disappears into it; the race build keeps the correctness half (full
-	// matrix, every pair delivered) and skips the perf gate.
-	if raceEnabled {
-		t.Logf("race detector on: tcp speedup %.2fx recorded, >=2x gate skipped", res.Speedup(EngineTCP))
-		return
-	}
-	// The speedup is a wall-clock measurement: one slow unbatched scheduler
-	// stall or one noisy-neighbour burst can smear a single sample, so the
-	// gate takes the best of up to three attempts at the tuned sustained
-	// configuration (dense bursts, long ticks, sparse subscriptions — the
-	// regime where per-frame overhead dominates the unbatched pipeline).
-	best := res.Speedup(EngineTCP)
-	for attempt := 1; best < 2 && attempt < 3; attempt++ {
-		t.Logf("tcp speedup attempt %d = %.2fx, retrying", attempt, best)
-		tuned := opts
-		tuned.Events = 24000
-		tuned.Burst = 2400
-		tuned.TickEvery = 12 * time.Millisecond
-		tuned.Engines = []string{EngineTCP}
-		retry, err := RunThroughput(tuned)
-		if err != nil {
-			t.Fatal(err)
+		if run.DeliveredPairs != run.ExpectedPairs {
+			t.Errorf("%s: delivered %d of %d expected pairs",
+				run.Engine, run.DeliveredPairs, run.ExpectedPairs)
 		}
-		if s := retry.Speedup(EngineTCP); s > best {
-			best = s
+		// The cycle engine steps as fast as the CPU allows, so its
+		// latency measures compute, not ticks. Under the race detector
+		// the instrumentation cost dominates the live engines too; the
+		// race build keeps the delivery half and skips the latency gate.
+		if run.Engine == EngineSim || raceEnabled {
+			continue
 		}
-	}
-	if best < 2 {
-		t.Errorf("tcp batched speedup = %.2fx, want >= 2x", best)
+		if run.LatencyP50MS >= tick {
+			t.Errorf("%s: p50 latency %.2f ms, want below one tick (%.0f ms)",
+				run.Engine, run.LatencyP50MS, tick)
+		}
 	}
 }

@@ -29,7 +29,7 @@ import (
 
 // WireVersion is the codec version byte leading every encoded message.
 // Bump it only with a migration plan: decoders reject other versions.
-const WireVersion byte = 1
+const WireVersion byte = 2
 
 // AppendMessage appends the wire encoding of a protocol message to dst
 // and returns the extended buffer. msg must be one of the package's
@@ -88,7 +88,6 @@ var wireDecoders = [msgTypeMax + 1]func(*wire.Reader) message{
 	MsgCoLeaderUpdate: decodeCoLeaderUpdate,
 	MsgRehome:         decodeRehome,
 	MsgRootInvite:     decodeRootInvite,
-	MsgBatchedEvents:  decodeBatchedEvents,
 }
 
 // --- Shared field helpers --------------------------------------------------
@@ -439,9 +438,5 @@ func WireSamples() []any {
 		rehome{AF: child},
 		rootInvite{Attr: "price", Leader: 1, CoLeaders: []sim.NodeID{2},
 			Members: []sim.NodeID{1, 2, 3}, Branches: []Branch{childBranch}},
-		batchedEvents{Msgs: []message{
-			publishTree{ID: 77, Event: ev, Attr: "price", AF: af, Mode: RootBased, Up: true, FromAF: child},
-			publishGroup{ID: 78, Event: ev, AF: af, Hops: 4},
-		}},
 	}
 }

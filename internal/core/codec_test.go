@@ -255,18 +255,6 @@ func randMessage(rng *rand.Rand, typ MsgType) message {
 	case MsgRootInvite:
 		return rootInvite{Attr: "price", Leader: id, CoLeaders: randNodeIDs(rng),
 			Members: randNodeIDs(rng), Branches: randBranches(rng)}
-	case MsgBatchedEvents:
-		// A batch carries 1..4 inner events of the two event types only
-		// (the decoder rejects anything else inside a batch).
-		inner := make([]message, 1+rng.Intn(4))
-		for i := range inner {
-			if rng.Intn(2) == 0 {
-				inner[i] = randMessage(rng, MsgPublishTree)
-			} else {
-				inner[i] = randMessage(rng, MsgPublishGroup)
-			}
-		}
-		return batchedEvents{Msgs: inner}
 	default:
 		panic(fmt.Sprintf("randMessage: unhandled type %d", typ))
 	}
@@ -322,6 +310,14 @@ func TestDecodeMessageRejectsMalformedInput(t *testing.T) {
 	}
 	if _, err := DecodeMessage([]byte{WireVersion, byte(msgTypeMax) + 1, 0}); err == nil {
 		t.Error("unknown message type decoded")
+	}
+	// The retired batched-events type at the current version, and a
+	// complete version-1 frame: what a peer still on wire version 1 sends.
+	if _, err := DecodeMessage([]byte{WireVersion, retiredBatchType, 1, byte(MsgHeartbeat)}); err == nil {
+		t.Error("retired batched-events frame decoded")
+	}
+	if _, err := DecodeMessage([]byte{1, byte(MsgHeartbeat)}); err == nil {
+		t.Error("version-1 frame decoded")
 	}
 	// Trailing garbage after a valid message.
 	data, err := AppendMessage(nil, heartbeat{})

@@ -48,11 +48,9 @@ const (
 	MsgRehome         MsgType = 15
 	MsgRootInvite     MsgType = 16
 
-	// Pipeline (batch.go): per-link event coalescing.
-	MsgBatchedEvents MsgType = 17
-
-	// msgTypeMax bounds the dispatch and codec tables.
-	msgTypeMax = MsgBatchedEvents
+	// msgTypeMax bounds the dispatch and codec tables. Type 17, wire
+	// version 1's batched-events envelope, is retired.
+	msgTypeMax = MsgRootInvite
 )
 
 // msgTypeName names each type for diagnostics and golden-vector files.
@@ -73,7 +71,6 @@ var msgTypeName = [msgTypeMax + 1]string{
 	MsgCoLeaderUpdate: "coLeaderUpdate",
 	MsgRehome:         "rehome",
 	MsgRootInvite:     "rootInvite",
-	MsgBatchedEvents:  "batchedEvents",
 }
 
 // String returns the message type's protocol name.
@@ -110,7 +107,6 @@ func (adopt) msgType() MsgType          { return MsgAdopt }
 func (coLeaderUpdate) msgType() MsgType { return MsgCoLeaderUpdate }
 func (rehome) msgType() MsgType         { return MsgRehome }
 func (rootInvite) msgType() MsgType     { return MsgRootInvite }
-func (batchedEvents) msgType() MsgType  { return MsgBatchedEvents }
 
 // handler delivers one typed message to its owning subsystem.
 type handler func(n *Node, from sim.NodeID, m message)
@@ -168,24 +164,6 @@ var kernelTable = [msgTypeMax + 1]handler{
 	MsgRootInvite: func(n *Node, _ sim.NodeID, m message) {
 		n.rep.handleRootInvite(m.(rootInvite))
 	},
-	// MsgBatchedEvents is installed by init below: its handler re-enters
-	// the dispatch chain, which the compiler rejects as an initialization
-	// cycle in a literal entry.
-}
-
-func init() {
-	kernelTable[MsgBatchedEvents] = func(n *Node, from sim.NodeID, m message) {
-		// Unpack through the per-event chain: dispatch + drainSelf per
-		// inner, exactly what N back-to-back OnMessage deliveries do, so
-		// node state evolves identically to the unbatched path. dispatch
-		// refuses nested batches' inner types other than events because
-		// the decoder already did; locally built batches only ever hold
-		// events (state.send stages nothing else).
-		for _, inner := range m.(batchedEvents).Msgs {
-			n.dispatch(from, inner)
-			n.drainSelf()
-		}
-	}
 }
 
 // dispatch routes one message through the kernel table. Non-protocol

@@ -235,23 +235,14 @@ func (n *Node) RoutingStateBytes() int64 {
 }
 
 // TreeForwards reports how many inter-group tree forwards a wire message
-// carries: 1 for a publishTree hop, the number of wrapped publishTree
-// hops for a batched frame, 0 for everything else (including intra-group
-// publishGroup diffusion). The fan-out-suppression metric counts these on
-// the engine's send hook: fewer routed groups mean fewer tree hops per
-// event, independent of how wide each group's internal diffusion is.
+// carries: 1 for a publishTree hop, 0 for everything else (including
+// intra-group publishGroup diffusion). The fan-out-suppression metric
+// counts these on the engine's send hook: fewer routed groups mean fewer
+// tree hops per event, independent of how wide each group's internal
+// diffusion is.
 func TreeForwards(msg any) int64 {
-	switch m := msg.(type) {
-	case publishTree:
+	if _, ok := msg.(publishTree); ok {
 		return 1
-	case batchedEvents:
-		var hops int64
-		for _, inner := range m.Msgs {
-			if _, ok := inner.(publishTree); ok {
-				hops++
-			}
-		}
-		return hops
 	}
 	return 0
 }
@@ -282,14 +273,9 @@ func (n *Node) Unsubscribe(sub filter.Subscription) error {
 }
 
 // Publish injects an event into the overlay under the given id: one
-// publication per attribute tree the event touches (paper §4.1). The
-// publish path flushes any staged event batches before returning, so a
-// publisher crashing right after Publish leaves exactly the messages on
-// the wire the unbatched path would.
+// publication per attribute tree the event touches (paper §4.1).
 func (n *Node) Publish(id EventID, ev filter.Event) error {
-	err := n.dis.publish(id, ev)
-	n.st.flushEvents()
-	return err
+	return n.dis.publish(id, ev)
 }
 
 // OnMessage implements sim.Process: liveness bookkeeping, kernel
@@ -322,9 +308,6 @@ func (n *Node) OnTick() {
 		n.rep.viewExchangeRound()
 	}
 	n.gcSeen(now)
-	// End-of-tick flush: everything staged while this tick's deliveries
-	// and rounds ran goes out as one frame per link (batch.go).
-	n.st.flushEvents()
 }
 
 // gcSeen periodically expires the dedup memories of all subsystems.

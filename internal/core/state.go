@@ -160,10 +160,6 @@ type state struct {
 	// after the current handler returns (inline dispatch would mutate
 	// membership state mid-iteration).
 	selfQ []message
-
-	// batch stages outbound event messages per destination when
-	// cfg.BatchEvents is on (batch.go). The zero value is inert.
-	batch eventBatcher
 }
 
 // ID returns the node's identifier (valid after attach).
@@ -172,23 +168,11 @@ func (s *state) ID() sim.NodeID { return s.env.ID() }
 // send is the single egress point. Self-addressed messages — a leader
 // that is also the tree owner updating "the parent", a co-leader
 // announcing to itself — queue locally and dispatch after the current
-// handler returns. With BatchEvents on, event messages stage per
-// destination instead of going out one envelope each (batch.go); a
-// non-event message flushes its destination's staged events first, so
-// every peer observes the exact unbatched per-destination order.
+// handler returns.
 func (s *state) send(to sim.NodeID, msg message) {
 	if to == s.ID() {
 		s.selfQ = append(s.selfQ, msg)
 		return
-	}
-	if s.cfg.BatchEvents {
-		switch msg.msgType() {
-		case MsgPublishTree, MsgPublishGroup:
-			s.batch.stage(to, msg)
-			return
-		default:
-			s.flushEventsTo(to)
-		}
 	}
 	s.env.Send(to, msg)
 }

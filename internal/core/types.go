@@ -166,14 +166,6 @@ type Config struct {
 	// Deprecated: strict repair is the protocol; this field is ignored.
 	StrictRepair bool
 
-	// BatchEvents turns on the batched event pipeline (batch.go):
-	// outbound event messages coalesce per destination and go out as one
-	// batchedEvents frame per link per tick, with the per-destination
-	// message order preserved exactly. Off by default so the pinned paper
-	// experiments replay byte-identical traces; the throughput experiment
-	// and the live deployments switch it on.
-	BatchEvents bool
-
 	// CoverRouting turns on the subscription-covering layer: before a
 	// subscription propagates into the overlay, the node checks its own
 	// routing state — a filter already routed (or walking) that includes

@@ -27,11 +27,6 @@ type Fig3aOptions struct {
 	// parallel on W workers, negative one worker per CPU. Metrics are
 	// bit-identical across worker counts for a given seed.
 	Parallelism int
-	// Batch runs every node with the batched event pipeline
-	// (core.Config.BatchEvents). Ratios and survivors are bit-identical
-	// to the unbatched run — the property TestBatchingTraceEquivalence
-	// pins under crash faults.
-	Batch bool
 }
 
 // DefaultFig3aOptions returns the paper-scale parameters.
@@ -85,9 +80,6 @@ func RunFig3a(opts Fig3aOptions) (*Fig3aResult, error) {
 
 func runDependabilityScenario(spec ConfigSpec, opts Fig3aOptions, p float64) (ratio, survivors float64) {
 	c := NewClusterParallel(spec, opts.Seed, opts.Parallelism)
-	if opts.Batch {
-		c.MutateConfig = func(cfg *core.Config) { cfg.BatchEvents = true }
-	}
 	gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
 	c.SubscribePopulation(opts.Nodes, opts.SubsPerNode, 25, gen)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0xf19a))

@@ -26,9 +26,6 @@ type ScaleOptions struct {
 	Nodes int
 	// SubsPerNode is the number of subscriptions each node holds.
 	SubsPerNode int
-	// Batch is how many subscriptions feed per build step; 0 derives
-	// Nodes/100 (min 50) so the build phase stays a few hundred steps.
-	Batch int
 	// Events is the number of events published in the measured phase, one
 	// per EventEvery steps.
 	Events     int
@@ -103,12 +100,11 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	if opts.EventEvery <= 0 {
 		opts.EventEvery = 10
 	}
-	batch := opts.Batch
-	if batch <= 0 {
-		batch = opts.Nodes / 100
-		if batch < 50 {
-			batch = 50
-		}
+	// Subscriptions fed per build step: Nodes/100 (min 50), so the build
+	// phase stays a few hundred steps.
+	batch := opts.Nodes / 100
+	if batch < 50 {
+		batch = 50
 	}
 	// The paper's default variant: root traversal, leader communication.
 	c := NewClusterParallel(PaperConfigs()[0], opts.Seed, opts.Parallelism)

@@ -30,11 +30,6 @@ type Table1Options struct {
 	// parallel on W workers, negative one worker per CPU. Metrics are
 	// bit-identical across worker counts for a given seed.
 	Parallelism int
-	// Batch runs the protocol with the batched event pipeline
-	// (core.Config.BatchEvents) in UseProtocol mode. Results are
-	// bit-identical to the unbatched run — the property
-	// TestBatchingTraceEquivalence pins.
-	Batch bool
 }
 
 // DefaultTable1Options returns the paper-scale parameters.
@@ -114,9 +109,6 @@ func table1Protocol(name string, gen *workload.Generator, opts Table1Options) (T
 		Traversal: core.RootBased,
 		Comm:      core.LeaderBased,
 	}, opts.Seed, opts.Parallelism)
-	if opts.Batch {
-		c.MutateConfig = func(cfg *core.Config) { cfg.BatchEvents = true }
-	}
 	c.SubscribePopulation(opts.Nodes, 1, 50, gen)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x7a17))
 	events := make([]core.EventID, 0, opts.Events)

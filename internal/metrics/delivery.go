@@ -96,7 +96,7 @@ func (d *DeliveryTracker) Events() int {
 
 // DeliveredPairs returns the full delivered set as a map from event to
 // its sorted recipient list — the trace a delivered-set equivalence test
-// compares across runs (batched vs unbatched, engine vs engine).
+// compares across runs (covering on vs off, engine vs engine).
 func (d *DeliveryTracker) DeliveredPairs() map[EventID][]int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -237,11 +237,10 @@ func (t *Transport) mainLoop() {
 			t.clock.Add(1)
 			t.proc.OnTick()
 		}
-		// One write per connection per iteration: everything the burst's
-		// handlers (or the tick) just sent — batched-events frames plus
-		// whatever control traffic shares the link — leaves in a single
-		// syscall, and nothing lingers in the buffer while the loop blocks
-		// in select.
+		// One write per connection per iteration: every frame the burst's
+		// handlers (or the tick) just sent on a link — events and control
+		// traffic alike — leaves in a single syscall, and nothing lingers
+		// in the buffer while the loop blocks in select.
 		t.flushPending()
 	}
 }
