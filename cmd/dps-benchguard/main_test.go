@@ -9,7 +9,7 @@ import (
 const sampleBench = `goos: linux
 cpu: Intel(R) Xeon(R)
 BenchmarkTable1Protocol-8   	       2	 154179216 ns/op	54605092 B/op	  397508 allocs/op
-BenchmarkWireCodecVsGob/codec-encode         	    2000	       140.1 ns/op	       0 B/op	       0 allocs/op
+BenchmarkWireCodec/encode                    	    2000	       140.1 ns/op	       0 B/op	       0 allocs/op
 BenchmarkFig3a          	       2	 561580119 ns/op	         0.9358 some-custom-metric	212136660 B/op	 1413462 allocs/op
 PASS
 `
@@ -35,8 +35,8 @@ func TestParseBenchOutput(t *testing.T) {
 	if m := metrics["BenchmarkFig3a"]; m.AllocsPerOp != 1413462 {
 		t.Errorf("Fig3a allocs = %v (custom metric confused the parser?)", m.AllocsPerOp)
 	}
-	if m := metrics["BenchmarkWireCodecVsGob/codec-encode"]; m.AllocsPerOp != 0 || m.MSPerOp <= 0 {
-		t.Errorf("codec-encode = %+v", m)
+	if m := metrics["BenchmarkWireCodec/encode"]; m.AllocsPerOp != 0 || m.MSPerOp <= 0 {
+		t.Errorf("WireCodec/encode = %+v", m)
 	}
 }
 

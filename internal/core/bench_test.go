@@ -108,3 +108,60 @@ func BenchmarkNotifyLocal(b *testing.B) {
 		b.Fatalf("delivered %d of %d events", delivered, b.N)
 	}
 }
+
+// BenchmarkViewExchange measures the settled leader-mode upkeep step: a
+// member handles its leader's unchanged 32-member groupview, which the
+// member reconciles against its own in place.
+func BenchmarkViewExchange(b *testing.B) {
+	dir := NewSharedDirectory()
+	eng := sim.NewEngine(sim.Config{Seed: 42})
+	sub, err := filter.ParseSubscription("a>2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := make([]*Node, 32)
+	for i := range nodes {
+		cfg := DefaultConfig()
+		cfg.Directory = dir
+		if nodes[i], err = NewNode(cfg); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Add(sim.NodeID(i+1), nodes[i]); err != nil {
+			b.Fatal(err)
+		}
+		if err := nodes[i].Subscribe(sub); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eng.Run(200)
+	key := nodes[0].Memberships()[0]
+	var leader, member *Node
+	for _, node := range nodes {
+		if node.group(key).leader == node.ID() {
+			leader = node
+		} else if member == nil {
+			member = node
+		}
+	}
+	if leader == nil || member == nil {
+		b.Fatal("no settled leader and member")
+	}
+	info := leader.Inspect()[key]
+	if len(info.Members) != len(nodes) {
+		b.Fatalf("leader's groupview holds %d of %d members", len(info.Members), len(nodes))
+	}
+	var msg any = viewExchange{ // boxed once, as an engine delivers it
+		AF:      leader.group(key).af,
+		Members: info.Members,
+		Parent:  cloneBranch(leader.group(key).parent),
+		Leader:  leader.ID(),
+		CoLead:  info.CoLeaders,
+		Reply:   true,
+	}
+	member.OnMessage(leader.ID(), msg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		member.OnMessage(leader.ID(), msg)
+	}
+}

@@ -841,7 +841,7 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 			co = append(co, id)
 		}
 	}
-	m.coLeaders = n.liveView(co)
+	n.refillLive(m.coLeaders, co)
 	// A re-attaching leader that merged into another instance hands its
 	// members over to the new leadership.
 	if wasLeading && n.cfg.Comm == LeaderBased && msg.Leader != n.ID() && m.members.len() > 1 {

@@ -51,7 +51,7 @@ type kernelAPI interface {
 	dropMembership(key string)
 	indexSub(sub filter.Subscription)
 	unindexSub(sub filter.Subscription)
-	liveView(ids []sim.NodeID) *view
+	refillLive(v *view, ids []sim.NodeID)
 	addCover(key string, e *coverEntry)
 	removeCover(key string)
 	hasCoverEdges(covererKey string) bool

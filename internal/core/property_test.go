@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,35 +15,122 @@ import (
 // Property tests (testing/quick) on the core data structures and on the
 // overlay's end-to-end invariants.
 
-// Views must behave as insertion-ordered sets under arbitrary operation
-// sequences: list and set stay consistent, no duplicates, bound respects
-// its cap.
+// mapView is the reference model for view: the map-plus-list
+// implementation views had before the sorted index replaced the map.
+type mapView struct {
+	list []sim.NodeID
+	set  map[sim.NodeID]bool
+}
+
+func (v *mapView) add(id sim.NodeID) bool {
+	if v.set[id] {
+		return false
+	}
+	v.set[id] = true
+	v.list = append(v.list, id)
+	return true
+}
+
+func (v *mapView) remove(id sim.NodeID) bool {
+	if !v.set[id] {
+		return false
+	}
+	delete(v.set, id)
+	for i, x := range v.list {
+		if x == id {
+			v.list = append(v.list[:i], v.list[i+1:]...)
+			break
+		}
+	}
+	return true
+}
+
+func (v *mapView) bound(max int, rng *rand.Rand) {
+	if max <= 0 || len(v.list) <= max {
+		return
+	}
+	for len(v.list) > max {
+		i := rng.Intn(len(v.list))
+		delete(v.set, v.list[i])
+		v.list[i] = v.list[len(v.list)-1]
+		v.list = v.list[:len(v.list)-1]
+	}
+}
+
+func (v *mapView) reset() {
+	clear(v.set)
+	v.list = v.list[:0]
+}
+
+// Views must behave exactly like the map-based reference under arbitrary
+// operation sequences: the same add/remove answers, and after every op
+// the same list (so the same bound survivors for the same rng draws), the
+// same has answers over the whole id range, and an index that is the
+// sorted list.
 func TestViewSetInvariantProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 2000}
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
+		vr := rand.New(rand.NewSource(seed)) // view's bound draws
+		mr := rand.New(rand.NewSource(seed)) // model's bound draws
 		v := newView()
+		m := &mapView{set: map[sim.NodeID]bool{}}
 		for op := 0; op < 60; op++ {
 			id := sim.NodeID(r.Intn(12))
-			switch r.Intn(4) {
+			switch r.Intn(6) {
 			case 0, 1:
-				v.add(id)
-			case 2:
-				v.remove(id)
-			default:
-				v.bound(1+r.Intn(6), r)
-			}
-			if len(v.list) != len(v.set) {
-				t.Logf("list/set size diverged: %d vs %d", len(v.list), len(v.set))
-				return false
-			}
-			seen := map[sim.NodeID]bool{}
-			for _, x := range v.list {
-				if seen[x] || !v.set[x] {
-					t.Logf("duplicate or orphan %d in %v", x, v.list)
+				if v.add(id) != m.add(id) {
+					t.Logf("add(%d) answers differ", id)
 					return false
 				}
-				seen[x] = true
+			case 2:
+				if v.remove(id) != m.remove(id) {
+					t.Logf("remove(%d) answers differ", id)
+					return false
+				}
+			case 3:
+				max := r.Intn(7)
+				v.bound(max, vr)
+				m.bound(max, mr)
+			case 4:
+				if r.Intn(4) == 0 {
+					v.reset()
+					m.reset()
+				}
+			default:
+				// refill equals reset plus adds, whether or not the
+				// sequence matches what the view holds.
+				head := []sim.NodeID{id}
+				if r.Intn(2) == 0 {
+					head = append(head, id+12)
+				}
+				tail := append([]sim.NodeID(nil), m.list[r.Intn(len(m.list)+1):]...)
+				if r.Intn(2) == 0 {
+					for k := r.Intn(5); k > 0; k-- {
+						tail = append(tail, sim.NodeID(r.Intn(14)))
+					}
+				}
+				v.refill(head, tail)
+				m.reset()
+				for _, x := range append(head, tail...) {
+					m.add(x)
+				}
+			}
+			if !slices.Equal(v.list, m.list) {
+				t.Logf("list %v, model %v", v.list, m.list)
+				return false
+			}
+			want := slices.Clone(m.list)
+			slices.Sort(want)
+			if !slices.Equal(v.index, want) {
+				t.Logf("index %v is not the sorted list %v", v.index, want)
+				return false
+			}
+			for x := sim.NodeID(0); x < 26; x++ {
+				if v.has(x) != m.set[x] {
+					t.Logf("has(%d) = %v, model %v", x, v.has(x), m.set[x])
+					return false
+				}
 			}
 		}
 		return true

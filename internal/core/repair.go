@@ -439,7 +439,7 @@ func (n *repairSys) handleCoLeaderUpdate(from sim.NodeID, msg coLeaderUpdate) {
 	}
 	m.leader = msg.Leader
 	m.leaderlessAt = 0
-	m.coLeaders = n.liveView(msg.CoLeaders)
+	n.refillLive(m.coLeaders, msg.CoLeaders)
 }
 
 // handleRehome re-walks this group from the current owner (duplicate-tree
@@ -872,12 +872,8 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 			// survive in mirrors forever and resurrect at the leader
 			// through reply unions (found by the chaos view-symmetry
 			// sweep).
-			fresh := newView(n.ID(), from)
-			for _, id := range msg.Members {
-				fresh.add(id)
-			}
-			m.members = fresh
-			m.coLeaders = n.liveView(msg.CoLead)
+			m.members.refill([]sim.NodeID{n.ID(), from}, msg.Members)
+			n.refillLive(m.coLeaders, msg.CoLead)
 		} else {
 			for _, id := range msg.Members {
 				// A member we saw leave stays out until it re-joins for
@@ -896,7 +892,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 			if m.leader == 0 && msg.Leader != 0 && !n.suspected[msg.Leader] {
 				m.leader = msg.Leader
 				m.leaderlessAt = 0
-				m.coLeaders = n.liveView(msg.CoLead)
+				n.refillLive(m.coLeaders, msg.CoLead)
 			}
 			// Duplicate-instance merge (§4.2.2): two leaders for the same
 			// canonical filter resolve to the lowest id; the loser demotes

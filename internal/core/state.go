@@ -349,16 +349,15 @@ func (s *state) unindexSub(sub filter.Subscription) {
 
 // --- Liveness --------------------------------------------------------------
 
-// liveView builds a view from ids, dropping peers this node suspects dead
+// refillLive makes v hold ids, dropping peers this node suspects dead
 // (stale lists would otherwise reinfect healed state with corpses).
-func (s *state) liveView(ids []sim.NodeID) *view {
-	v := newView()
+func (s *state) refillLive(v *view, ids []sim.NodeID) {
+	v.reset()
 	for _, id := range ids {
 		if !s.suspected[id] {
 			v.add(id)
 		}
 	}
-	return v
 }
 
 // --- Small shared helpers --------------------------------------------------

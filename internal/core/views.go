@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"github.com/dps-overlay/dps/internal/sim"
 )
@@ -9,13 +10,16 @@ import (
 // view is an insertion-ordered set of node ids — the representation of the
 // paper's groupview/predview/succview lists ("if there are F nodes in the
 // list and a new node is inserted, a node is removed from the bottom").
+// Membership tests binary-search index, a sorted copy of list, instead of
+// a map: a settled overlay keeps thousands of small views per process, and
+// two flat slices are a fraction of a map's footprint and allocations.
 type view struct {
-	list []sim.NodeID
-	set  map[sim.NodeID]bool
+	list  []sim.NodeID // insertion order
+	index []sim.NodeID // the ids of list, ascending
 }
 
 func newView(ids ...sim.NodeID) *view {
-	v := &view{set: make(map[sim.NodeID]bool, len(ids))}
+	v := &view{}
 	for _, id := range ids {
 		v.add(id)
 	}
@@ -24,30 +28,31 @@ func newView(ids ...sim.NodeID) *view {
 
 // add appends id if absent and reports whether it was inserted.
 func (v *view) add(id sim.NodeID) bool {
-	if v.set[id] {
+	i, ok := slices.BinarySearch(v.index, id)
+	if ok {
 		return false
 	}
-	v.set[id] = true
+	v.index = slices.Insert(v.index, i, id)
 	v.list = append(v.list, id)
 	return true
 }
 
 // remove deletes id and reports whether it was present.
 func (v *view) remove(id sim.NodeID) bool {
-	if !v.set[id] {
+	i, ok := slices.BinarySearch(v.index, id)
+	if !ok {
 		return false
 	}
-	delete(v.set, id)
-	for i, x := range v.list {
-		if x == id {
-			v.list = append(v.list[:i], v.list[i+1:]...)
-			break
-		}
-	}
+	v.index = slices.Delete(v.index, i, i+1)
+	i = slices.Index(v.list, id)
+	v.list = slices.Delete(v.list, i, i+1)
 	return true
 }
 
-func (v *view) has(id sim.NodeID) bool { return v.set[id] }
+func (v *view) has(id sim.NodeID) bool {
+	_, ok := slices.BinarySearch(v.index, id)
+	return ok
+}
 
 func (v *view) len() int { return len(v.list) }
 
@@ -77,10 +82,11 @@ func (v *view) bound(max int, rng *rand.Rand) {
 		return
 	}
 	for len(v.list) > max {
-		i := rng.Intn(len(v.list))
-		delete(v.set, v.list[i])
-		v.list[i] = v.list[len(v.list)-1]
-		v.list = v.list[:len(v.list)-1]
+		// Swap the victim to the end, so removing it moves the last
+		// entry into its place.
+		i, last := rng.Intn(len(v.list)), len(v.list)-1
+		v.list[i], v.list[last] = v.list[last], v.list[i]
+		v.remove(v.list[last])
 	}
 }
 
@@ -126,10 +132,36 @@ func (v *view) headAfter(k int, exclude ...sim.NodeID) []sim.NodeID {
 }
 
 // reset empties the view in place for reuse as a scratch set, keeping the
-// allocated map and slice capacity.
+// allocated capacity.
 func (v *view) reset() {
-	clear(v.set)
 	v.list = v.list[:0]
+	v.index = v.index[:0]
+}
+
+// refill makes the view hold head and then tail, each id at its first
+// occurrence — what adding them one by one to an empty view gives — in the
+// view's own storage. When the view already holds exactly that sequence
+// (the steady state of a leader's groupview refresh) refill writes
+// nothing. The view never aliases head or tail.
+func (v *view) refill(head, tail []sim.NodeID) {
+	i := len(head)
+	same := i <= len(v.list) && slices.Equal(v.list[:i], head)
+	for _, id := range tail {
+		if same && !has(head, id) {
+			same = i < len(v.list) && v.list[i] == id
+			i++
+		}
+	}
+	if same && i == len(v.list) {
+		return
+	}
+	v.reset()
+	for _, id := range head {
+		v.add(id)
+	}
+	for _, id := range tail {
+		v.add(id)
+	}
 }
 
 // addHeadAfter adds up to k of src's oldest entries to v, skipping
@@ -179,15 +211,14 @@ func (b *Branch) dropNode(id sim.NodeID) bool {
 	return len(b.Nodes) > 0
 }
 
-// mergeNodes appends unseen contacts, keeping at most k.
+// mergeNodes appends unseen contacts, keeping at most k. Appending stops
+// once k are held, so each scan of the contact list is at most k long.
 func (b *Branch) mergeNodes(ids []sim.NodeID, k int) {
-	seen := make(map[sim.NodeID]bool, len(b.Nodes))
-	for _, id := range b.Nodes {
-		seen[id] = true
-	}
 	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
+		if k > 0 && len(b.Nodes) >= k {
+			break
+		}
+		if !has(b.Nodes, id) {
 			b.Nodes = append(b.Nodes, id)
 		}
 	}

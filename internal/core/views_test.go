@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/dps-overlay/dps/internal/sim"
@@ -164,5 +166,107 @@ func TestSharedDirectory(t *testing.T) {
 	}
 	if _, ok := d.Contact("zzz", rng); ok {
 		t.Error("contact for unknown attribute")
+	}
+}
+
+// sendRecorder wraps a node's environment and keeps every message it sends.
+type sendRecorder struct {
+	sim.Env
+	sent []any
+}
+
+func (r *sendRecorder) Send(to sim.NodeID, msg any) {
+	r.sent = append(r.sent, msg)
+	r.Env.Send(to, msg)
+}
+
+// A member reconciles its groupview and co-leader view in place when its
+// leader's exchanges arrive. The engines hand message values over
+// uncopied, so neither what the member sent before, nor an Inspect result
+// taken before, nor the leader's message may share storage with those
+// views.
+func TestLeaderExchangeReconcileDoesNotAlias(t *testing.T) {
+	c := newCluster(t, 6, nil)
+	for id := sim.NodeID(1); id <= 6; id++ {
+		c.subscribe(id, "a>2")
+	}
+	c.settle(120)
+	var member *Node
+	var m *membership
+	for _, node := range c.nodes {
+		if g := node.group(node.Memberships()[0]); g.leader != node.ID() && g.leader != 0 {
+			member, m = node, g
+			break
+		}
+	}
+	if member == nil {
+		t.Fatal("no settled non-leader member")
+	}
+	leader := m.leader
+	var o []sim.NodeID // the other four nodes
+	for id := sim.NodeID(1); id <= 6; id++ {
+		if id != leader && id != member.ID() {
+			o = append(o, id)
+		}
+	}
+	rec := &sendRecorder{Env: member.st.env}
+	member.st.env = rec
+
+	encode := func(msg any) string {
+		b, err := AppendMessage(nil, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	exchange := func(members, coLead []sim.NodeID) viewExchange {
+		return viewExchange{AF: m.af, Members: members, Leader: leader, CoLead: coLead}
+	}
+	// The first exchange rebuilds the views; the member's reply and a
+	// join it answers carry its groupview and co-leader list.
+	first := exchange([]sim.NodeID{leader, o[0], o[1], member.ID(), o[2]}, []sim.NodeID{o[0], o[1]})
+	member.OnMessage(leader, first)
+	member.mem.acceptMember(m, 77, m.af)
+	var sent []string
+	var reply, accept bool
+	for _, msg := range rec.sent {
+		_, isExchange := msg.(viewExchange)
+		_, isAccept := msg.(joinAccept)
+		reply, accept = reply || isExchange, accept || isAccept
+		sent = append(sent, encode(msg))
+	}
+	if !reply || !accept {
+		t.Fatalf("want a viewExchange reply and a joinAccept among %d sent messages", len(sent))
+	}
+	before := member.Inspect()[m.af.Key()]
+	snapshot := fmt.Sprint(before)
+	firstBytes := encode(first)
+
+	// Two more exchanges rewrite both views in place.
+	member.OnMessage(leader, exchange([]sim.NodeID{o[3], leader, o[2]}, []sim.NodeID{o[3]}))
+	second := exchange([]sim.NodeID{o[2], o[3], leader, o[0]}, []sim.NodeID{o[2], o[3]})
+	member.OnMessage(leader, second)
+
+	got := member.Inspect()[m.af.Key()]
+	if want := []sim.NodeID{member.ID(), leader, o[2], o[3], o[0]}; !slices.Equal(got.Members, want) {
+		t.Fatalf("groupview = %v, want %v", got.Members, want)
+	}
+	if want := []sim.NodeID{o[2], o[3]}; !slices.Equal(got.CoLeaders, want) {
+		t.Fatalf("co-leaders = %v, want %v", got.CoLeaders, want)
+	}
+	for i, msg := range rec.sent[:len(sent)] {
+		if encode(msg) != sent[i] {
+			t.Errorf("sent %T changed after later exchanges", msg)
+		}
+	}
+	if fmt.Sprint(before) != snapshot {
+		t.Errorf("earlier Inspect result changed: %s, now %v", snapshot, before)
+	}
+	if encode(first) != firstBytes {
+		t.Error("handling the leader's exchange changed the message")
+	}
+	second.Members[0], second.CoLead[0] = 99, 99
+	if got := member.Inspect()[m.af.Key()]; slices.Contains(got.Members, 99) || slices.Contains(got.CoLeaders, 99) {
+		t.Error("the member's views share storage with the leader's message")
 	}
 }
