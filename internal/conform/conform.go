@@ -5,7 +5,11 @@
 //
 // The three engines are the deterministic cycle simulator (internal/sim,
 // the reference), the live goroutine runtime (internal/livenet) and the
-// real-TCP engine (internal/tcpnet). The protocol code in internal/core
+// real-TCP engine (internal/tcpnet). They are one Engine over three
+// runtimes: the population, the oracle's recorder and every
+// protocol-facing operation are shared, and each runtime supplies only
+// how a node is hosted under an id and reached, liveness, the clock and
+// teardown. The protocol code in internal/core
 // is engine-agnostic by construction (sans-IO against sim.Env); this
 // package tests that the *self-healing claims* survive the move from a
 // lockstep scheduler to an asynchronous adversary, in the spirit of
@@ -17,9 +21,9 @@
 //
 //   - the same fault timeline materialises on every engine: the injector
 //     draws victims from its own seeded stream over sorted live ids, and
-//     every engine exposes the same fault primitives (kill, restart under
-//     the old identity, link cuts, partition classes, loss windows)
-//     through the FaultTarget surface;
+//     every runtime exposes the same fault primitives (kill, restart
+//     under the old identity, link cuts, partition classes, loss windows)
+//     through chaos.FaultSurface;
 //   - the same workload drives every engine: an identical subscription
 //     plan, identical churn draws, identical tracked events from
 //     identical publishers;
@@ -43,94 +47,15 @@ package conform
 import (
 	"time"
 
-	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/filter"
-	"github.com/dps-overlay/dps/internal/sim"
 )
-
-// FaultTarget is the engine-level fault surface a conformance engine
-// exposes; it is exactly the surface the chaos injector drives, shared
-// with the cycle engine. (The alias keeps one definition: sim.Engine,
-// livenet.Hub and the tcp harness all satisfy it.)
-type FaultTarget = chaos.FaultSurface
-
-// Engine is one runtime under conformance test. Implementations wrap the
-// cycle simulator, the livenet hub, or a tcpnet deployment; the runner
-// drives every method from a single goroutine, so implementations only
-// need internal locking where their own background goroutines (peers,
-// transports) touch shared state.
-type Engine interface {
-	FaultTarget
-
-	// Name identifies the engine in reports: "sim", "live" or "tcp".
-	Name() string
-
-	// AwaitStep blocks until the engine's logical clock reaches step: the
-	// cycle engine advances itself by stepping, live engines wait on
-	// their wall-clock tickers.
-	AwaitStep(step int64)
-
-	// AddNode spawns one fresh protocol node and returns its id. Ids are
-	// sequential from 1, so identical call sequences yield identical id
-	// assignments on every engine — the property the cross-engine fault
-	// determinism rests on.
-	AddNode() sim.NodeID
-
-	// Subscribe registers a subscription at a live node (on the node's
-	// own goroutine for live engines) and records it as durable: a later
-	// Restart of the identity re-issues it.
-	Subscribe(id sim.NodeID, sub filter.Subscription) error
-
-	// Publish injects a tracked event at a live node.
-	Publish(id sim.NodeID, ev core.EventID, event filter.Event) error
-
-	// PublishMany injects a run of tracked events at one live node in a
-	// single scheduling round (one Do on the live engines) — the
-	// throughput experiment's bulk path. evs and events are parallel.
-	PublishMany(id sim.NodeID, evs []core.EventID, events []filter.Event) error
-
-	// Restart revives a crashed identity with a fresh protocol instance
-	// re-issuing its durable subscriptions (chaos.Population).
-	Restart(id sim.NodeID)
-	// Join adds one fresh subscriber with the population's per-node
-	// subscription count (chaos.Population).
-	Join() sim.NodeID
-	// Leave withdraws all of a node's subscriptions gracefully
-	// (chaos.Population).
-	Leave(id sim.NodeID)
-
-	// StructuralSnapshot returns deep-copied membership snapshots of one
-	// live node — the quiesce-window read feeding the invariant checker.
-	// A node that crashed between AliveIDs and this call returns nil.
-	StructuralSnapshot(id sim.NodeID) []core.MembershipSnapshot
-
-	// Corrupt applies a structural corruption op to one live node
-	// (chaos.Corruptor), on the node's own goroutine for live engines.
-	// Returns false when the node is dead or ineligible for the op.
-	Corrupt(id sim.NodeID, op core.CorruptionOp) bool
-
-	// TreeOwner reports the directory's current owner of an attribute
-	// tree (chaos.Target).
-	TreeOwner(attr string) (sim.NodeID, bool)
-
-	// Stats reports the engine's drop counters for the run record.
-	Stats() EngineStats
-
-	// Close tears the engine down; the engine is unusable afterwards.
-	Close()
-}
-
-// Every conformance engine is a chaos.Corruptor: the injector discovers
-// the corruption surface on the engine itself, so corruption scenarios
-// run on all three runtimes.
-var _ chaos.Corruptor = Engine(nil)
 
 // EngineStats are the per-engine drop counters reported with each run.
 type EngineStats struct {
-	// InboxDropped counts messages lost to inbox overflow (live engines'
-	// back-pressure-as-loss) or, on the cycle engine, to the LossRate
-	// draw.
+	// InboxDropped counts messages lost to inbox overflow on the live
+	// engines (back-pressure as loss), summed over every incarnation of
+	// every node. The cycle engine has no inboxes and reports 0; its
+	// loss draws count under FaultLoss.
 	InboxDropped int64 `json:"inbox_dropped"`
 	// FaultLoss counts messages eaten by an injected loss window.
 	FaultLoss int64 `json:"fault_loss"`

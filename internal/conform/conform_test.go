@@ -8,6 +8,7 @@ import (
 	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/filter"
+	"github.com/dps-overlay/dps/internal/livenet"
 	"github.com/dps-overlay/dps/internal/sim"
 	"github.com/dps-overlay/dps/internal/workload"
 )
@@ -321,11 +322,13 @@ func TestRecorderFalseDeliveryDetection(t *testing.T) {
 	}
 }
 
-// TestEngineContractParity exercises the non-sim engines' population
-// surface directly — restart re-issuing durable subscriptions, join
-// allocating the next id, leave withdrawing — without a full scenario.
+// TestEngineContractParity exercises every engine's population surface
+// directly — ids from 1, a dead node's nil snapshot, restart re-issuing
+// durable subscriptions, join allocating the next id, leave withdrawing —
+// without a full scenario. It advances by logical steps, so the sim
+// engine steps where the live engines wait on their clocks.
 func TestEngineContractParity(t *testing.T) {
-	for _, name := range []string{EngineLive, EngineTCP} {
+	for _, name := range EngineNames() {
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.TickEvery = time.Millisecond
@@ -363,13 +366,12 @@ func TestEngineContractParity(t *testing.T) {
 				t.Fatal("restart did not revive the identity")
 			}
 			// The durable subscription came back with the fresh instance.
-			deadline := time.Now().Add(5 * time.Second)
 			var snaps []core.MembershipSnapshot
-			for time.Now().Before(deadline) {
+			for step := 0; step < 500; step++ {
 				if snaps = e.StructuralSnapshot(a); len(snaps) > 0 {
 					break
 				}
-				time.Sleep(2 * time.Millisecond)
+				e.AwaitStep(e.Now() + 1)
 			}
 			total := 0
 			for _, s := range snaps {
@@ -391,6 +393,49 @@ func TestEngineContractParity(t *testing.T) {
 	}
 }
 
+// TestLiveInboxDropsSurviveRestart pins that Stats counts the inbox drops
+// of every incarnation: flooding a one-slot inbox overflows it, and
+// killing and restarting the nodes must not lose the count.
+func TestLiveInboxDropsSurviveRestart(t *testing.T) {
+	gen := workload.MustGenerator(workload.Workload2(), 1)
+	pop := newPopulation(gen, 1)
+	rt := newLiveRuntime(livenet.Config{TickEvery: time.Millisecond, InboxSize: 1, Seed: 1})
+	e := engineOn(EngineLive, rt, pop, newRecorder())
+	defer e.Close()
+
+	a, b := e.AddNode(), e.AddNode()
+	sub, _ := filter.ParseSubscription("x>1 && x<500")
+	for _, id := range []sim.NodeID{a, b} {
+		if err := e.Subscribe(id, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	event, _ := filter.ParseEvent("x=100")
+	evs := make([]core.EventID, 200)
+	events := make([]filter.Event, len(evs))
+	var before int64
+	for round := 0; round < 100 && before == 0; round++ {
+		e.AwaitStep(e.Now() + 1)
+		for i := range evs {
+			evs[i], events[i] = core.EventID(round*len(evs)+i+1), event
+		}
+		if err := e.PublishMany(a, evs, events); err != nil {
+			t.Fatal(err)
+		}
+		before = e.Stats().InboxDropped
+	}
+	if before == 0 {
+		t.Fatal("flooding a one-slot inbox dropped nothing")
+	}
+	for _, id := range []sim.NodeID{a, b} {
+		e.Kill(id)
+		e.Restart(id)
+	}
+	if after := e.Stats().InboxDropped; after < before {
+		t.Errorf("InboxDropped fell from %d to %d across a restart", before, after)
+	}
+}
+
 func contains(ids []sim.NodeID, want sim.NodeID) bool {
 	for _, id := range ids {
 		if id == want {
@@ -398,48 +443,4 @@ func contains(ids []sim.NodeID, want sim.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// Compile-time contract: every conformance engine serves as the chaos
-// checker's read-only Target, the injector's fault surface, and the
-// injector's population.
-var (
-	_ chaos.Target       = Engine(nil)
-	_ chaos.FaultSurface = Engine(nil)
-	_ chaos.Population   = Engine(nil)
-)
-
-// TestSimReferenceDeterministic pins the claim the differential oracle
-// rests on: a run on the sim reference is a pure function of (options,
-// scenario), so two runs at one seed marshal to identical reports once
-// the wall-clock cost is zeroed.
-func TestSimReferenceDeterministic(t *testing.T) {
-	opts := Options{Engines: []string{EngineSim}, Scenarios: []string{"restart-churn", "corruption"}}
-	report := func() []byte {
-		res, err := Run(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range res.Scenarios {
-			for j := range res.Scenarios[i].Runs {
-				res.Scenarios[i].Runs[j].ElapsedMS = 0
-			}
-		}
-		out, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	first, second := report(), report()
-	if string(first) == string(second) {
-		return
-	}
-	i := 0
-	for i < len(first) && i < len(second) && first[i] == second[i] {
-		i++
-	}
-	lo := max(0, i-80)
-	t.Errorf("two sim runs at one seed differ at byte %d:\n  %s\n  %s",
-		i, first[lo:min(len(first), i+80)], second[lo:min(len(second), i+80)])
 }

@@ -1,0 +1,297 @@
+package conform
+
+import (
+	"fmt"
+
+	"github.com/dps-overlay/dps/internal/chaos"
+	"github.com/dps-overlay/dps/internal/core"
+	"github.com/dps-overlay/dps/internal/filter"
+	"github.com/dps-overlay/dps/internal/livenet"
+	"github.com/dps-overlay/dps/internal/sim"
+)
+
+// Engine is the one conformance engine: the population bookkeeping, the
+// delivery recorder and the node table over one of three runtimes — the
+// cycle simulator (the reference), the livenet goroutine hub, or a
+// tcpnet deployment on loopback. Every protocol-facing method (adding,
+// subscribing, publishing, restarting, joining, leaving, snapshotting,
+// corrupting) is implemented here once; the runtime supplies only what
+// differs between them: hosting a node under an id, reaching it (a
+// direct call, Peer.Do or Transport.Do), liveness, the clock, the
+// tree-owner read, the fault drop counters and teardown.
+//
+// The runner drives every method from a single goroutine, so the node
+// table needs no lock; the runtimes lock whatever their own goroutines
+// (peers, transports) share.
+type Engine struct {
+	runtime
+
+	name  string // "sim", "live" or "tcp", for error messages
+	pop   *population
+	rec   *recorder
+	nodes map[sim.NodeID]hosted
+	// retiredDrops accumulates the inbox-drop counters of incarnations a
+	// restart replaced, so Stats covers the whole run, not just the
+	// incarnations in the table at collection time.
+	retiredDrops int64
+}
+
+// Every conformance engine is the chaos checker's read-only Target, the
+// injector's fault surface and population, and a chaos.Corruptor: the
+// injector discovers the corruption surface on the engine itself, so
+// corruption scenarios run on all three runtimes.
+var (
+	_ chaos.Target       = (*Engine)(nil)
+	_ chaos.FaultSurface = (*Engine)(nil)
+	_ chaos.Population   = (*Engine)(nil)
+	_ chaos.Corruptor    = (*Engine)(nil)
+)
+
+// runtime is what differs between the three engines (runtimes.go).
+type runtime interface {
+	chaos.FaultSurface
+	// Alive reports whether the id hosts a live node — the liveness view
+	// every node's directory filters contacts by.
+	Alive(id sim.NodeID) bool
+	// host starts a node under id: a fresh id, or the next incarnation of
+	// a killed one. build makes the node over the directory the runtime
+	// gives it; the handle reaches it afterwards.
+	host(id sim.NodeID, build func(core.Directory) *core.Node) (handle, error)
+	// advance lets logical time pass: the cycle engine runs one step, the
+	// live runtimes sleep a fraction of a tick.
+	advance()
+	// TreeOwner reports the directory's current owner of an attribute
+	// tree (chaos.Target).
+	TreeOwner(attr string) (sim.NodeID, bool)
+	// DroppedFaults counts the messages eaten by loss windows and by cuts
+	// or partition classes.
+	DroppedFaults() (loss, partition int64)
+	// Close tears the runtime down.
+	Close()
+}
+
+// handle reaches one hosted node from the runner.
+type handle interface {
+	// Do runs fn on the node's own goroutine and waits for it (core
+	// nodes are single-goroutine by design); it fails once the node is
+	// gone.
+	Do(fn func()) error
+	// Dropped counts the messages the node's inbox overflowed.
+	Dropped() int64
+}
+
+// hosted is one incarnation of a node and the handle that reaches it.
+type hosted struct {
+	node *core.Node
+	h    handle
+}
+
+// newEngine builds the named engine over fresh population bookkeeping.
+func newEngine(name string, opts Options, pop *population, rec *recorder) (*Engine, error) {
+	var rt runtime
+	switch name {
+	case EngineSim:
+		rt = newSimRuntime(opts)
+	case EngineLive:
+		rt = newLiveRuntime(livenet.Config{TickEvery: opts.TickEvery, Seed: opts.Seed})
+	case EngineTCP:
+		tcp, err := newTCPRuntime(opts)
+		if err != nil {
+			return nil, err
+		}
+		rt = tcp
+	default:
+		return nil, fmt.Errorf("conform: unknown engine %q", name)
+	}
+	return engineOn(name, rt, pop, rec), nil
+}
+
+// engineOn wraps a runtime in the engine.
+func engineOn(name string, rt runtime, pop *population, rec *recorder) *Engine {
+	return &Engine{runtime: rt, name: name, pop: pop, rec: rec, nodes: make(map[sim.NodeID]hosted)}
+}
+
+// AwaitStep blocks until the logical clock reaches step: it drives the
+// cycle engine, and waits on the live runtimes' wall clocks.
+func (e *Engine) AwaitStep(step int64) {
+	for e.Now() < step {
+		e.advance()
+	}
+}
+
+// newNode builds a protocol node over dir, filtered by the runtime's
+// liveness view and wired to the recorder's delivery hook.
+func (e *Engine) newNode(dir core.Directory) *core.Node {
+	node, err := core.NewNode(nodeConfig(core.LiveDirectory{Directory: dir, Alive: e.Alive}))
+	if err != nil {
+		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config
+	}
+	node.OnDeliverHook(func(ev core.EventID, _ filter.Event) {
+		e.rec.deliver(ev, node.ID())
+	})
+	return node
+}
+
+// attach hosts a fresh node under id and enters it in the table,
+// retiring the drop counter of the incarnation it replaces.
+func (e *Engine) attach(id sim.NodeID) {
+	var n hosted
+	h, err := e.host(id, func(dir core.Directory) *core.Node {
+		n.node = e.newNode(dir)
+		return n.node
+	})
+	if err != nil {
+		panic(fmt.Sprintf("conform: %s host %d: %v", e.name, id, err))
+	}
+	n.h = h
+	if old, ok := e.nodes[id]; ok {
+		e.retiredDrops += old.h.Dropped()
+	}
+	e.nodes[id] = n
+}
+
+// do runs fn against the node under id on the node's own goroutine.
+func (e *Engine) do(id sim.NodeID, fn func(*core.Node)) error {
+	n, ok := e.nodes[id]
+	if !ok {
+		return fmt.Errorf("conform: no node %d", id)
+	}
+	return n.h.Do(func() { fn(n.node) })
+}
+
+// AddNode spawns one fresh protocol node and returns its id. Ids are
+// sequential from 1, so identical call sequences yield identical id
+// assignments on every runtime — the property the cross-engine fault
+// determinism rests on.
+func (e *Engine) AddNode() sim.NodeID {
+	id := e.pop.allocID()
+	e.attach(id)
+	return id
+}
+
+// Subscribe registers a subscription at a node and records it as
+// durable: a later Restart of the identity re-issues it.
+func (e *Engine) Subscribe(id sim.NodeID, sub filter.Subscription) error {
+	var subErr error
+	if err := e.do(id, func(n *core.Node) { subErr = n.Subscribe(sub) }); err != nil {
+		return err
+	}
+	if subErr != nil {
+		return subErr
+	}
+	if err := e.rec.subscribe(id, sub); err != nil {
+		return err
+	}
+	e.pop.remember(id, sub)
+	return nil
+}
+
+// Publish injects a tracked event at a node.
+func (e *Engine) Publish(id sim.NodeID, ev core.EventID, event filter.Event) error {
+	return e.PublishMany(id, []core.EventID{ev}, []filter.Event{event})
+}
+
+// PublishMany injects a run of tracked events at one node in a single
+// scheduling round (one Do) — the throughput experiment's bulk path. evs
+// and events are parallel.
+func (e *Engine) PublishMany(id sim.NodeID, evs []core.EventID, events []filter.Event) error {
+	var pubErr error
+	if err := e.do(id, func(n *core.Node) {
+		for i := range evs {
+			if pubErr = n.Publish(evs[i], events[i]); pubErr != nil {
+				return
+			}
+		}
+	}); err != nil {
+		return err
+	}
+	return pubErr
+}
+
+// Restart revives a crashed identity with a fresh protocol instance
+// re-issuing its durable subscriptions (chaos.Population).
+func (e *Engine) Restart(id sim.NodeID) {
+	e.attach(id)
+	subs := e.pop.durable(id)
+	if err := e.do(id, func(n *core.Node) {
+		for _, sub := range subs {
+			if err := n.Subscribe(sub); err != nil {
+				panic(fmt.Sprintf("conform: re-subscribe after restart: %v", err))
+			}
+		}
+	}); err != nil {
+		panic(fmt.Sprintf("conform: restart %d: %v", id, err))
+	}
+}
+
+// Join adds one fresh subscriber with the population's per-node
+// subscription count (chaos.Population).
+func (e *Engine) Join() sim.NodeID {
+	id := e.AddNode()
+	for s := 0; s < e.pop.perNode; s++ {
+		if err := e.Subscribe(id, e.pop.gen.Subscription()); err != nil {
+			panic(fmt.Sprintf("conform: join subscribe: %v", err))
+		}
+	}
+	return id
+}
+
+// Leave withdraws all of a node's subscriptions gracefully
+// (chaos.Population).
+func (e *Engine) Leave(id sim.NodeID) {
+	if _, ok := e.nodes[id]; !ok {
+		return
+	}
+	subs := e.pop.forget(id)
+	if err := e.do(id, func(n *core.Node) {
+		for _, sub := range subs {
+			if err := n.Unsubscribe(sub); err != nil {
+				panic(fmt.Sprintf("conform: unsubscribe on leave: %v", err))
+			}
+		}
+	}); err != nil {
+		return // the node crashed mid-leave: its subscriptions die with it
+	}
+	e.rec.leave(id)
+}
+
+// StructuralSnapshot returns deep-copied membership snapshots of one live
+// node, collected on the node's own goroutine — the quiesce-window read
+// feeding the invariant checker. A node that crashed between AliveIDs and
+// this call returns nil.
+func (e *Engine) StructuralSnapshot(id sim.NodeID) []core.MembershipSnapshot {
+	if !e.Alive(id) {
+		return nil
+	}
+	var snaps []core.MembershipSnapshot
+	if err := e.do(id, func(n *core.Node) { snaps = n.StructuralSnapshot() }); err != nil {
+		return nil
+	}
+	return snaps
+}
+
+// Corrupt applies a structural corruption op to one live node on the
+// node's own goroutine — the op mutates node state, which only that
+// goroutine may touch (chaos.Corruptor). It returns false when the node
+// is dead or ineligible for the op.
+func (e *Engine) Corrupt(id sim.NodeID, op core.CorruptionOp) bool {
+	if !e.Alive(id) {
+		return false
+	}
+	var ok bool
+	if err := e.do(id, func(n *core.Node) { ok = n.ApplyCorruption(op) }); err != nil {
+		return false
+	}
+	return ok
+}
+
+// Stats reports the engine's drop counters for the run record, over
+// every incarnation of every node.
+func (e *Engine) Stats() EngineStats {
+	inbox := e.retiredDrops
+	for _, n := range e.nodes {
+		inbox += n.h.Dropped()
+	}
+	loss, partition := e.DroppedFaults()
+	return EngineStats{InboxDropped: inbox, FaultLoss: loss, FaultPartition: partition}
+}

@@ -251,19 +251,6 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// newEngine builds the named engine over fresh population bookkeeping.
-func newEngine(name string, opts Options, pop *population, rec *recorder) (Engine, error) {
-	switch name {
-	case EngineSim:
-		return newSimEngine(opts, pop, rec), nil
-	case EngineLive:
-		return newLiveEngine(opts, pop, rec), nil
-	case EngineTCP:
-		return newTCPEngine(opts, pop, rec)
-	}
-	return nil, fmt.Errorf("conform: unknown engine %q", name)
-}
-
 // runScenarioOn builds a fresh overlay on the named engine, replays the
 // scenario timeline with the invariant checker attached, and judges
 // convergence.
@@ -278,33 +265,9 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 	defer e.Close()
 	began := time.Now()
 
-	// Bootstrap: the two-wave subscription plan, 25 subscriptions per
-	// step, with the same settle windows the experiment cluster uses.
-	plan := buildPlan(pop, opts.Nodes, e.AddNode)
-	feed := func(jobs []plannedSub) error {
-		for len(jobs) > 0 {
-			k := 25
-			if k > len(jobs) {
-				k = len(jobs)
-			}
-			for _, j := range jobs[:k] {
-				if err := e.Subscribe(j.id, j.sub); err != nil {
-					return fmt.Errorf("conform: %s bootstrap subscribe: %w", name, err)
-				}
-			}
-			jobs = jobs[k:]
-			e.AwaitStep(e.Now() + 1)
-		}
-		return nil
-	}
-	if err := feed(plan.creators); err != nil {
+	if err := bootstrap(e, opts.Nodes); err != nil {
 		return nil, err
 	}
-	e.AwaitStep(e.Now() + 25) // groups settle before the join wave
-	if err := feed(plan.joiners); err != nil {
-		return nil, err
-	}
-	e.AwaitStep(e.Now() + 120) // settle joins, co-leader announcements, adoption
 
 	checker := chaos.NewChecker(e, chaos.CheckerOptions{LeaderMode: true})
 	checker.Enable(true)
@@ -393,10 +356,43 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 	return run, nil
 }
 
+// bootstrap deploys the initial population on e: the two-wave
+// subscription plan at 25 subscriptions per step, with the settle windows
+// the experiment cluster uses — 25 steps before the join wave, 120 after
+// it for joins, co-leader announcements and adoption.
+func bootstrap(e *Engine, nodes int) error {
+	plan := buildPlan(e.pop, nodes, e.AddNode)
+	feed := func(jobs []plannedSub) error {
+		for len(jobs) > 0 {
+			k := 25
+			if k > len(jobs) {
+				k = len(jobs)
+			}
+			for _, j := range jobs[:k] {
+				if err := e.Subscribe(j.id, j.sub); err != nil {
+					return fmt.Errorf("conform: %s bootstrap subscribe: %w", e.name, err)
+				}
+			}
+			jobs = jobs[k:]
+			e.AwaitStep(e.Now() + 1)
+		}
+		return nil
+	}
+	if err := feed(plan.creators); err != nil {
+		return err
+	}
+	e.AwaitStep(e.Now() + 25)
+	if err := feed(plan.joiners); err != nil {
+		return err
+	}
+	e.AwaitStep(e.Now() + 120)
+	return nil
+}
+
 // publishTracked publishes one oracle-tracked event from a
 // deterministically drawn live publisher. The draw is consumed even when
 // no publisher exists, keeping the random stream aligned across engines.
-func publishTracked(e Engine, rec *recorder, gen *workload.Generator, rng *rand.Rand, ev core.EventID) {
+func publishTracked(e *Engine, rec *recorder, gen *workload.Generator, rng *rand.Rand, ev core.EventID) {
 	event := gen.Event()
 	draw := rng.Int63()
 	alive := e.AliveIDs()

@@ -168,33 +168,11 @@ func runThroughputOn(name string, opts ThroughputOptions) (*ThroughputRun, error
 	}
 	defer e.Close()
 
-	// Bootstrap: the same two-wave subscription plan a conformance run
-	// uses, so the overlay under load is the overlay under test elsewhere.
-	plan := buildPlan(pop, opts.Nodes, e.AddNode)
-	feed := func(jobs []plannedSub) error {
-		for len(jobs) > 0 {
-			k := 25
-			if k > len(jobs) {
-				k = len(jobs)
-			}
-			for _, j := range jobs[:k] {
-				if err := e.Subscribe(j.id, j.sub); err != nil {
-					return fmt.Errorf("conform: %s throughput bootstrap: %w", name, err)
-				}
-			}
-			jobs = jobs[k:]
-			e.AwaitStep(e.Now() + 1)
-		}
-		return nil
-	}
-	if err := feed(plan.creators); err != nil {
+	// Bootstrap: the same population a conformance run deploys, so the
+	// overlay under load is the overlay under test elsewhere.
+	if err := bootstrap(e, opts.Nodes); err != nil {
 		return nil, err
 	}
-	e.AwaitStep(e.Now() + 25)
-	if err := feed(plan.joiners); err != nil {
-		return nil, err
-	}
-	e.AwaitStep(e.Now() + 120)
 
 	// Publish storm: Burst events per step from random live publishers,
 	// each publisher's share of a burst injected in one scheduling round
