@@ -366,8 +366,9 @@ func TestEngineContractParity(t *testing.T) {
 				t.Fatal("restart did not revive the identity")
 			}
 			// The durable subscription came back with the fresh instance.
+			deadline := time.Now().Add(5 * time.Second)
 			var snaps []core.MembershipSnapshot
-			for step := 0; step < 500; step++ {
+			for time.Now().Before(deadline) {
 				if snaps = e.StructuralSnapshot(a); len(snaps) > 0 {
 					break
 				}
@@ -443,4 +444,39 @@ func contains(ids []sim.NodeID, want sim.NodeID) bool {
 		}
 	}
 	return false
+}
+
+// TestSimReferenceDeterministic pins the claim the differential oracle
+// rests on: a run on the sim reference is a pure function of (options,
+// scenario), so two runs at one seed marshal to identical reports once
+// the wall-clock cost is zeroed.
+func TestSimReferenceDeterministic(t *testing.T) {
+	opts := Options{Engines: []string{EngineSim}, Scenarios: []string{"restart-churn", "corruption"}}
+	report := func() []byte {
+		res, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Scenarios {
+			for j := range res.Scenarios[i].Runs {
+				res.Scenarios[i].Runs[j].ElapsedMS = 0
+			}
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first, second := report(), report()
+	if string(first) == string(second) {
+		return
+	}
+	i := 0
+	for i < len(first) && i < len(second) && first[i] == second[i] {
+		i++
+	}
+	lo := max(0, i-80)
+	t.Errorf("two sim runs at one seed differ at byte %d:\n  %s\n  %s",
+		i, first[lo:min(len(first), i+80)], second[lo:min(len(second), i+80)])
 }
