@@ -12,11 +12,13 @@
 //
 // The chaos experiment runs the scripted fault suite of internal/chaos
 // (crash bursts, restarts, partitions, loss windows, churn, structural
-// corruption) with the continuous structural-invariant checker attached;
-// -json emits per-scenario invariant verdicts and time-to-repair
-// distributions. The chaos-corruption experiment isolates the two
-// corruption presets (corruption, byzantine-state) so the benchmark
-// guard tracks the repair machinery's wall-clock on its own line.
+// corruption) on the cycle engine through the conformance harness
+// (internal/conform), 150 nodes × 2 subscriptions at full scale, with
+// the structural-invariant checker attached; -json emits per-scenario
+// invariant verdicts and time-to-repair distributions. The
+// chaos-corruption experiment isolates the two corruption presets
+// (corruption, byzantine-state) so the benchmark guard tracks the repair
+// machinery's wall-clock on its own line.
 //
 // The conform experiment runs that suite through the cross-engine
 // conformance harness (internal/conform): every scenario replays on the
@@ -261,26 +263,19 @@ func registry() []experimentEntry {
 			return res, nil
 		}},
 		{"chaos", func(seed int64, scale float64, parallel int) (renderable, error) {
-			opts := experiments.DefaultChaosOptions()
-			opts.Seed = seed
-			opts.Parallelism = parallel
-			opts.Nodes = scaleInt(opts.Nodes, scale, 50)
-			res, err := experiments.RunChaos(opts)
+			res, err := conform.Run(chaosOptions(seed, scale, parallel))
 			if err != nil {
 				return nil, err
 			}
 			return res, nil
 		}},
 		{"chaos-corruption", func(seed int64, scale float64, parallel int) (renderable, error) {
-			opts := experiments.DefaultChaosOptions()
-			opts.Seed = seed
-			opts.Parallelism = parallel
-			opts.Nodes = scaleInt(opts.Nodes, scale, 50)
+			opts := chaosOptions(seed, scale, parallel)
 			// Only the structural-corruption presets: the plain chaos
 			// experiment covers the whole suite, this line isolates the
 			// bounded-repair machinery for the regression guard.
 			opts.Scenarios = []string{"corruption", "byzantine-state"}
-			res, err := experiments.RunChaos(opts)
+			res, err := conform.Run(opts)
 			if err != nil {
 				return nil, err
 			}
@@ -368,4 +363,16 @@ func scaleInt(v int, scale float64, floor int) int {
 		out = floor
 	}
 	return out
+}
+
+// chaosOptions is the chaos suite's configuration: the cycle engine
+// alone, 150 nodes × 2 subscriptions at full scale (at least 50 nodes),
+// so every scenario exercises multi-level trees.
+func chaosOptions(seed int64, scale float64, parallel int) conform.Options {
+	opts := conform.DefaultOptions()
+	opts.Seed = seed
+	opts.Workers = parallel
+	opts.Engines = []string{conform.EngineSim}
+	opts.Nodes = scaleInt(150, scale, 50)
+	return opts
 }

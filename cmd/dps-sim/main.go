@@ -10,27 +10,30 @@
 // worker per CPU); results are bit-identical to the sequential engine
 // for the same seed.
 //
-// -scenario switches to the chaos harness: the named fault-scenario
-// preset (crash bursts, restarts, partitions, loss windows, churn) runs
-// with the continuous structural-invariant checker attached, and the exit
-// status reports whether every scenario ended invariant-clean inside its
-// declared repair bound. Use "-scenario list" to enumerate presets (one
-// description line each, with the repair bound), "-scenario all" for the
-// suite, and -json for the machine-readable report (per-invariant
-// verdicts plus the p50/p99 time-to-repair distribution per fault kind).
-// A failing (scenario, engine) cell fails the run and is named on stderr.
+// -scenario switches to the chaos harness (internal/conform): the named
+// fault-scenario preset (crash bursts, restarts, partitions, loss
+// windows, churn, structural corruption) replays with the structural
+// invariant checker attached, on the protocol variant selected by
+// -traversal/-comm/-fanout/-cross-fanout, and the exit status reports
+// whether every scenario ended invariant-clean inside its declared repair
+// bound. Use "-scenario list" to enumerate presets (one description line
+// each, with the repair bound), "-scenario all" for the suite, and -json
+// for the machine-readable report (the final sweep per invariant plus the
+// p50/p99 time-to-repair distribution per fault kind). A failing
+// (scenario, engine) cell fails the run and is named on stderr.
 //
 //	dps-sim -scenario dependability -nodes 150
 //	dps-sim -scenario all -json
 //
 // -engine selects the runtime a chaos scenario replays against: "sim"
-// (default) keeps the deterministic cycle-engine harness above; "live"
-// (goroutine runtime), "tcp" (real TCP transports on loopback) or "all"
-// switch to the cross-engine conformance harness (internal/conform),
-// which always runs the cycle engine alongside as the differential
-// reference and additionally judges delivered-set agreement. -tick sets
-// the live engines' wall-clock step. The exit status covers both the
-// invariant verdicts and the differential oracle.
+// (default) is the deterministic cycle engine alone; "live" (goroutine
+// runtime), "tcp" (real TCP transports on loopback) or "all" run the
+// cycle engine alongside as the differential reference and additionally
+// judge delivered-set agreement. -tick sets the live engines' wall-clock
+// step. The exit status covers both the invariant verdicts and the
+// differential oracle. On "sim" the population is -nodes × -subs (500 × 1
+// by default); the other engines default to the harness's 24 × 2, since
+// they pay real wall-clock and sockets per node.
 //
 //	dps-sim -scenario crash-burst -engine all -nodes 24
 //	dps-sim -scenario all -engine tcp -tick 5ms -json
@@ -118,24 +121,21 @@ func run() int {
 		return 0
 	}
 	if *scenario != "" {
+		scenarioNodes, scenarioSubs := *nodes, *subs
 		if *engine != "sim" {
-			// The conformance harness has its own CI-sized population
-			// defaults (live engines pay real wall-clock and sockets per
-			// node); dps-sim's plain-simulation defaults only apply when
-			// the user set the flags explicitly.
+			// The live engines keep the harness's CI-sized population
+			// unless the flags are set explicitly.
 			set := make(map[string]bool)
 			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			conformNodes, conformSubs := 0, 0
-			if set["nodes"] {
-				conformNodes = *nodes
+			if !set["nodes"] {
+				scenarioNodes = 0
 			}
-			if set["subs"] {
-				conformSubs = *subs
+			if !set["subs"] {
+				scenarioSubs = 0
 			}
-			return runConformance(*scenario, *engine, conformNodes, conformSubs, *eventEvery,
-				*seed, *parallel, *tick, *asJSON)
 		}
-		return runScenario(*scenario, cfgSpec, *nodes, *subs, *eventEvery, *seed, *parallel, *asJSON)
+		return runScenario(*scenario, *engine, cfgSpec, scenarioNodes, scenarioSubs, *eventEvery,
+			*seed, *parallel, *tick, *asJSON)
 	}
 
 	c := experiments.NewClusterParallel(cfgSpec, *seed, *parallel)
@@ -182,65 +182,19 @@ func run() int {
 	return 0
 }
 
-// runScenario runs one chaos preset (or all of them with "all" / lists
-// them with "list") under the continuous invariant checker, on the
-// protocol variant selected by -traversal/-comm/-fanout/-cross-fanout.
-// The preset timelines replace -steps/-failure; -workload is fixed to
-// the suite's default.
-func runScenario(name string, cfgSpec experiments.ConfigSpec, nodes, subs, eventEvery int,
-	seed int64, parallel int, asJSON bool) int {
-	opts := experiments.DefaultChaosOptions()
-	opts.Seed = seed
-	opts.Nodes = nodes
-	opts.SubsPerNode = subs
-	opts.EventEvery = eventEvery
-	opts.Parallelism = parallel
-	opts.Config = cfgSpec
-	if name != "all" {
-		opts.Scenarios = []string{name}
-	}
-	res, err := experiments.RunChaos(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dps-sim:", err)
-		return 2
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fmt.Fprintln(os.Stderr, "dps-sim:", err)
-			return 1
-		}
-	} else {
-		fmt.Print(res.Render())
-	}
-	if !res.AllClean() {
-		// Name every failing scenario on stderr so -json runs and CI logs
-		// see the verdict without parsing the report.
-		for _, s := range res.Scenarios {
-			switch {
-			case !s.FinalClean:
-				fmt.Fprintf(os.Stderr, "dps-sim: FAIL %s/sim: final sweep dirty (%d violations)\n",
-					s.Scenario, s.FinalCheck.Total)
-			case !s.WithinBound:
-				fmt.Fprintf(os.Stderr, "dps-sim: FAIL %s/sim: repair bound %d exceeded (ttr max %d, %d unrepaired)\n",
-					s.Scenario, s.MaxTTR, s.TTR.Max, len(s.Unrepaired))
-			}
-		}
-		return 1
-	}
-	return 0
-}
-
-// runConformance replays chaos scenarios through the cross-engine
-// conformance harness: the named engines (plus the sim reference) run the
-// same fault timeline and workload, judged by the invariant checker and
-// the differential delivered-set oracle. Exit status 0 requires every
-// engine invariant-clean and every differential verdict passing. A zero
-// nodes or subs keeps the harness's own CI-sized default.
-func runConformance(scenario, engine string, nodes, subs, eventEvery int,
+// runScenario replays chaos scenarios ("all" for the suite) through the
+// conformance harness on the protocol variant cfgSpec: the named engines
+// (plus the sim reference) run the same fault timeline and workload,
+// judged by the invariant checker and, off the sim engine, the
+// differential delivered-set oracle. Exit status 0 requires every engine
+// invariant-clean inside its repair bound and every differential verdict
+// passing. A zero nodes or subs keeps the harness's own CI-sized default.
+// The preset timelines replace -steps/-failure; -workload is fixed to the
+// suite's default.
+func runScenario(scenario, engine string, cfgSpec experiments.ConfigSpec, nodes, subs, eventEvery int,
 	seed int64, parallel int, tick time.Duration, asJSON bool) int {
 	opts := conform.DefaultOptions()
+	opts.Config = cfgSpec
 	opts.Seed = seed
 	opts.Nodes = nodes
 	opts.SubsPerNode = subs

@@ -16,22 +16,22 @@
 //   - Scenario: a scripted fault timeline (crash bursts, restarts, timed
 //     bidirectional partitions and heals, loss windows, churn waves of
 //     join/leave), pure data, with named presets;
-//   - Injector: applies a scenario's events on the engine coordinator via
-//     the sim.Config.OnStepBegin hook, drawing victims from its own
-//     seeded RNG so a scenario replays bit-identically at any worker
-//     count;
-//   - Checker: a sim.Service that walks read-only structural snapshots of
-//     every live node and validates the legal-configuration invariants —
-//     tree acyclicity and connectivity, semantic containment along
-//     parent→child edges, group-view symmetry, no orphaned subscribers —
-//     reporting violations per check and time-to-repair per fault.
+//   - Injector: applies a scenario's events as the runner's drive loop
+//     reaches their steps, drawing victims from its own seeded RNG so a
+//     scenario replays bit-identically at any worker count;
+//   - Checker: walks read-only structural snapshots of every live node
+//     and validates the legal-configuration invariants — tree acyclicity
+//     and connectivity, semantic containment along parent→child edges,
+//     group-view symmetry, no orphaned subscribers — reporting violations
+//     per sweep and time-to-repair per fault.
 //
-// Determinism contract: everything the injector and checker do happens on
-// the coordinator goroutine between node processing (OnStepBegin before
-// deliveries, Service.EndStep after ticks), consumes no engine
-// randomness, and iterates nodes in sorted id order — so a scenario's
-// full report, like the protocol trace itself, is a pure function of
-// (scenario, seed), at any worker count.
+// The runner that drives both on all three engines is internal/conform.
+//
+// Determinism contract: on the cycle engine everything the injector and
+// checker do happens on the runner goroutine between steps, consumes no
+// engine randomness, and iterates nodes in sorted id order — so a
+// scenario's full report, like the protocol trace itself, is a pure
+// function of (scenario, seed), at any worker count.
 package chaos
 
 import (

@@ -247,15 +247,13 @@ func TestCheckerEpidemicModeSkipsLeaderClauses(t *testing.T) {
 
 func TestCheckerTimeToRepair(t *testing.T) {
 	w := legalWorld(t)
-	c := NewChecker(w, CheckerOptions{Every: 10, LeaderMode: true})
-	c.Enable(true)
+	c := NewChecker(w, CheckerOptions{LeaderMode: true})
 
 	// Break the configuration, mark the fault, observe dirty sweeps.
 	saved := w.snaps[2][0].Parent.Nodes
 	w.snaps[2][0].Parent.Nodes = []sim.NodeID{77}
 	c.MarkFault(12)
-	c.EndStep(20)
-	c.EndStep(25) // off-period: no sweep
+	c.Check(20)
 	if len(c.Records()) != 1 || c.Records()[0].Total == 0 {
 		t.Fatalf("dirty sweep missing: %+v", c.Records())
 	}
@@ -268,7 +266,7 @@ func TestCheckerTimeToRepair(t *testing.T) {
 
 	// Repair and watch the fault close with the right TTR.
 	w.snaps[2][0].Parent.Nodes = saved
-	c.EndStep(30)
+	c.Check(30)
 	if !c.FinalClean() {
 		t.Fatal("clean sweep not recorded")
 	}
@@ -278,16 +276,6 @@ func TestCheckerTimeToRepair(t *testing.T) {
 	}
 	if len(c.Unrepaired()) != 0 {
 		t.Fatal("pending fault not cleared")
-	}
-}
-
-func TestCheckerDisabledDoesNothing(t *testing.T) {
-	w := legalWorld(t)
-	c := NewChecker(w, CheckerOptions{Every: 1, LeaderMode: true})
-	c.MarkFault(1) // ignored while disabled
-	c.EndStep(1)
-	if len(c.Records()) != 0 || len(c.Unrepaired()) != 0 {
-		t.Fatal("disabled checker recorded activity")
 	}
 }
 
@@ -384,6 +372,15 @@ func (p *fakePop) Join() sim.NodeID {
 
 func (p *fakePop) Leave(id sim.NodeID) { p.leaves = append(p.leaves, id) }
 
+// drive runs n engine steps, applying the injector's due events just
+// before each one — the conformance runner's drive loop in miniature.
+func drive(eng *sim.Engine, inj *Injector, n int) {
+	for i := 0; i < n; i++ {
+		inj.Step(eng.Now() + 1)
+		eng.Step()
+	}
+}
+
 func TestInjectorAppliesTimeline(t *testing.T) {
 	eng := sim.NewEngine(sim.Config{Seed: 3})
 	pop := &fakePop{eng: eng, nextID: 100}
@@ -409,28 +406,27 @@ func TestInjectorAppliesTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Arm(eng)
 
-	eng.Run(7)
+	drive(eng, inj, 7)
 	if eng.AliveCount() != 16 {
 		t.Fatalf("after crash: alive = %d, want 16", eng.AliveCount())
 	}
-	eng.Run(5) // through step 12
+	drive(eng, inj, 5) // through step 12
 	if eng.LossRate() != 0.5 {
 		t.Error("loss window did not open")
 	}
-	eng.Run(10) // through step 22
+	drive(eng, inj, 10) // through step 22
 	if len(pop.restarts) != 4 {
 		t.Fatalf("restarts = %v, want all 4 crashed nodes", pop.restarts)
 	}
-	eng.Run(10) // through step 32
+	drive(eng, inj, 10) // through step 32
 	if eng.LossRate() != 0 {
 		t.Error("loss window did not close")
 	}
 	if pop.joins != 3 {
 		t.Errorf("joins = %d, want 3", pop.joins)
 	}
-	eng.Run(18)
+	drive(eng, inj, 18)
 	if len(pop.leaves) != 2 {
 		t.Errorf("leaves = %v, want 2", pop.leaves)
 	}
@@ -460,8 +456,7 @@ func TestInjectorDeterministicVictims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj.Arm(eng)
-		eng.Run(20)
+		drive(eng, inj, 20)
 		return fmt.Sprintf("%v|%v", inj.Applied(), pop.restarts)
 	}
 	if a, b := run(), run(); a != b {
@@ -484,8 +479,7 @@ func TestInjectorSurvivalFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Arm(eng)
-	eng.Run(10)
+	drive(eng, inj, 10)
 	if eng.AliveCount() != 2 {
 		t.Fatalf("alive = %d, want survival floor 2", eng.AliveCount())
 	}
@@ -499,7 +493,6 @@ func TestInjectorMarksFaults(t *testing.T) {
 	}
 	w := &fakeTarget{snaps: map[sim.NodeID][]core.MembershipSnapshot{}, owners: map[string]sim.NodeID{}}
 	ch := NewChecker(w, CheckerOptions{})
-	ch.Enable(true)
 	sc := Scenario{Name: "t", Steps: 10, Events: []Event{
 		{Step: 2, Kind: Crash, Count: 1},
 		{Step: 2, Kind: SetLoss, Rate: 0.1},
@@ -509,8 +502,7 @@ func TestInjectorMarksFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Arm(eng)
-	eng.Run(10)
+	drive(eng, inj, 10)
 	// Two fault steps (2 and 6) — the two same-step events coalesce.
 	if got := ch.Unrepaired(); len(got) != 2 {
 		t.Fatalf("marked faults = %v, want 2 entries", got)
@@ -538,9 +530,7 @@ func TestInjectorAppliesCorruption(t *testing.T) {
 		_ = eng.Add(id, &tickerProc{})
 	}
 	w := &fakeTarget{snaps: map[sim.NodeID][]core.MembershipSnapshot{}, owners: map[string]sim.NodeID{}}
-	ch := NewChecker(w, CheckerOptions{Every: 10})
-	ch.Enable(true)
-	eng.AddService(ch)
+	ch := NewChecker(w, CheckerOptions{})
 	sc := Scenario{Name: "t", Steps: 10, Events: []Event{
 		{Step: 2, Kind: Corrupt, Op: core.CorruptDanglingParent, Count: 2},
 		{Step: 4, Kind: Corrupt, Op: core.CorruptViewBreak, Count: 1},
@@ -550,8 +540,8 @@ func TestInjectorAppliesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Arm(eng)
-	eng.Run(10)
+	drive(eng, inj, 10)
+	ch.Check(eng.Now())
 
 	if len(pop.victims) != 4 { // 2 + 1 + default count 1
 		t.Fatalf("corrupted %v, want 4 victims", pop.victims)

@@ -13,9 +13,8 @@ import (
 // natively; the live goroutine runtime (livenet.Hub) and the TCP engine
 // harness expose the same primitives, so one scenario timeline replays
 // against any of the three engines (see internal/conform). All methods
-// are called from the scenario driver — on the coordinator between node
-// processing for the cycle engine, from the runner goroutine for live
-// engines.
+// are called from the runner goroutine — between steps on the cycle
+// engine.
 type FaultSurface interface {
 	// Now returns the engine's current logical step (wall-clock ticks on
 	// live engines).
@@ -39,8 +38,8 @@ type FaultSurface interface {
 
 // Population is the deployment-level surface the injector drives for
 // faults the engine alone cannot express: process restarts and open-system
-// churn. The experiment cluster implements it; all methods are called on
-// the coordinator between node processing.
+// churn. The conformance engine implements it; all methods are called
+// from the runner goroutine.
 type Population interface {
 	// Restart revives the crashed node under its old id with a fresh
 	// protocol instance that re-issues the node's durable subscriptions.
@@ -59,9 +58,9 @@ type Population interface {
 // engines). It reports whether any state was mutated; the injector ignores
 // the report (eligibility depends on node state, which differs across
 // engines — recording it would break the cross-engine fault-timeline
-// match). Implemented by the experiment cluster's population adapter and
-// the conformance engines; discovered by type assertion so the injector's
-// construction surface stays unchanged for corruption-free scenarios.
+// match). Implemented by the conformance engine; discovered by type
+// assertion so the injector's construction surface stays unchanged for
+// corruption-free scenarios.
 type Corruptor interface {
 	Corrupt(id sim.NodeID, op core.CorruptionOp) bool
 }
@@ -81,8 +80,7 @@ type Applied struct {
 }
 
 // Injector replays a scenario timeline against an engine. Drive it by
-// calling Step with every engine step (the cycle engine arms it on its
-// OnStepBegin hook; live-engine runners call it from the drive loop): it
+// calling Step with every engine step from the runner's drive loop: it
 // applies every event whose scenario-relative step has come due, in
 // timeline order, drawing victims from its own seeded RNG — never from an
 // engine stream — so the same scenario materialises the same fault
@@ -112,8 +110,8 @@ func NewInjector(eng FaultSurface, pop Population, checker *Checker, sc Scenario
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	// Corruption support is optional: the population adapter (cycle engine)
-	// or the fault surface itself (conformance engines) may implement it.
+	// Corruption support is optional: the population or the fault surface
+	// may implement it.
 	cor, ok := pop.(Corruptor)
 	if !ok {
 		cor, _ = eng.(Corruptor)
@@ -137,13 +135,6 @@ func NewInjector(eng FaultSurface, pop Population, checker *Checker, sc Scenario
 		minLive: 2,
 	}, nil
 }
-
-// Arm installs the injector on the cycle engine's per-step fault hook.
-// Live-engine runners skip Arm and call Step from their drive loop.
-func (inj *Injector) Arm(eng *sim.Engine) { eng.SetOnStepBegin(inj.Step) }
-
-// Disarm removes the hook (after the fault phase, before convergence).
-func (inj *Injector) Disarm(eng *sim.Engine) { eng.SetOnStepBegin(nil) }
 
 // Done reports whether every scripted event has been applied.
 func (inj *Injector) Done() bool { return inj.idx >= len(inj.events) }

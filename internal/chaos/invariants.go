@@ -49,8 +49,8 @@ func Invariants() []string {
 }
 
 // Target is the read-only world surface the checker inspects. All methods
-// are called on the coordinator between node processing; implementations
-// must not mutate protocol state.
+// are called from the runner goroutine (between steps on the cycle
+// engine); implementations must not mutate protocol state.
 type Target interface {
 	// AliveIDs returns the live node ids in ascending order.
 	AliveIDs() []sim.NodeID
@@ -96,9 +96,6 @@ type Repair struct {
 
 // CheckerOptions parameterise the sweep.
 type CheckerOptions struct {
-	// Every is the check period in steps; 0 disables periodic sweeps
-	// (forced checks still run).
-	Every int64
 	// LeaderMode enables the leader-specific clauses of InvViewSymmetry
 	// (live leader per active group). Set it when the population runs
 	// leader-based communication.
@@ -108,16 +105,13 @@ type CheckerOptions struct {
 	MaxSamples int
 }
 
-// Checker continuously validates the legal-configuration invariants. It
-// participates in the engine step lifecycle as a sim.Service: register it
-// with Engine.AddService and Enable it once the overlay has formed.
-// Checks run on the coordinator after EndStep, read-only, consuming no
-// engine randomness — a checked run's protocol trace is bit-identical to
-// an unchecked one.
+// Checker validates the legal-configuration invariants. The runner calls
+// Check between steps, once the overlay has formed; sweeps are read-only
+// and consume no engine randomness — a checked run's protocol trace is
+// bit-identical to an unchecked one.
 type Checker struct {
-	target  Target
-	opts    CheckerOptions
-	enabled bool
+	target Target
+	opts   CheckerOptions
 
 	records []CheckRecord
 	pending []pendingFault // fault steps not yet followed by a clean sweep
@@ -138,10 +132,6 @@ func NewChecker(target Target, opts CheckerOptions) *Checker {
 	return &Checker{target: target, opts: opts}
 }
 
-// Enable switches periodic sweeps on or off (off during overlay
-// construction, on for the scenario).
-func (c *Checker) Enable(on bool) { c.enabled = on }
-
 // MarkFault tells the checker the configuration was perturbed at the
 // given step; the next all-clean sweep closes it as a Repair.
 func (c *Checker) MarkFault(step int64) { c.MarkFaultKinds(step, nil) }
@@ -149,19 +139,7 @@ func (c *Checker) MarkFault(step int64) { c.MarkFaultKinds(step, nil) }
 // MarkFaultKinds is MarkFault with the injected fault labels attached, so
 // the closed Repair records which fault family it measures.
 func (c *Checker) MarkFaultKinds(step int64, kinds []string) {
-	if c.enabled {
-		c.pending = append(c.pending, pendingFault{step: step, kinds: kinds})
-	}
-}
-
-// BeginStep implements sim.Service.
-func (c *Checker) BeginStep(step int64) {}
-
-// EndStep implements sim.Service: runs the periodic sweep.
-func (c *Checker) EndStep(step int64) {
-	if c.enabled && c.opts.Every > 0 && step%c.opts.Every == 0 {
-		c.Check(step)
-	}
+	c.pending = append(c.pending, pendingFault{step: step, kinds: kinds})
 }
 
 // Records returns every sweep outcome in step order.

@@ -1,7 +1,12 @@
-// Package conform is the cross-engine conformance harness: it replays
-// the scripted chaos scenarios of internal/chaos — crash bursts,
-// same-identity restarts, partitions, loss windows, churn — against all
-// three DPS engines and judges them with one oracle.
+// Package conform is the chaos runner and cross-engine conformance
+// harness: it replays the scripted chaos scenarios of internal/chaos —
+// crash bursts, same-identity restarts, partitions, loss windows, churn,
+// structural corruption — against any of the three DPS engines and
+// judges them with one oracle. Run with Engines: []string{"sim"} is the
+// cycle-engine chaos suite; selecting a live engine adds it alongside
+// the sim reference and arms the differential oracle. Options.Config
+// picks the protocol variant every engine runs, and Options.Custom adds
+// ad-hoc scenarios (fuzz and property harnesses) to the presets.
 //
 // The three engines are the deterministic cycle simulator (internal/sim,
 // the reference), the live goroutine runtime (internal/livenet) and the
@@ -38,6 +43,10 @@
 //     tolerance for false deliveries (an event delivered to a node whose
 //     subscriptions never matched it).
 //
+// A run passes when two consecutive sweeps are clean inside the
+// scenario's convergence window and every fault was repaired inside its
+// MaxTTR; on the live engines both are widened by ConvergeSlack.
+//
 // A disagreement here is not noise to tune away: the fault topology is
 // exact on every engine, so a live engine that fails to converge to a
 // legal configuration, or systematically misses deliveries the reference
@@ -47,7 +56,9 @@ package conform
 import (
 	"time"
 
+	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
+	"github.com/dps-overlay/dps/internal/experiments"
 )
 
 // EngineStats are the per-engine drop counters reported with each run.
@@ -87,8 +98,16 @@ type Options struct {
 	EventEvery int `json:"event_every"`
 	// CheckEvery is the invariant sweep period in steps.
 	CheckEvery int64 `json:"check_every"`
-	// Scenarios names the chaos presets to run; empty runs the suite.
+	// Scenarios names the chaos presets to run; empty runs the suite
+	// unless Custom is set.
 	Scenarios []string `json:"scenarios,omitempty"`
+	// Custom appends ad-hoc scenarios (fuzz and property harnesses) to
+	// the selected presets. Each must pass chaos.Scenario.Validate.
+	Custom []chaos.Scenario `json:"custom,omitempty"`
+	// Config is the protocol variant every engine runs; the zero value
+	// is the paper's default (root-based traversal, leader
+	// communication).
+	Config experiments.ConfigSpec `json:"config"`
 	// Engines names the engines to run; empty runs all three. The sim
 	// reference always runs (the differential oracle needs it) and is
 	// reported even when not requested.
@@ -97,9 +116,10 @@ type Options struct {
 	// live engines. Defaults to 2ms — fast enough for CI, slow enough
 	// that a loaded machine still ticks every peer.
 	TickEvery time.Duration `json:"tick_every_ns"`
-	// ConvergeSlack multiplies a scenario's convergence window on the
-	// asynchronous engines (their repairs pay real scheduling delays the
-	// lockstep engine never sees). Defaults to 3.
+	// ConvergeSlack multiplies a scenario's convergence window and repair
+	// bound on the asynchronous engines (their repairs pay real
+	// scheduling delays the lockstep engine never sees); the sim
+	// reference is judged on the scenario's own numbers. Defaults to 3.
 	ConvergeSlack float64 `json:"converge_slack"`
 	// LossMargin bounds how far a live engine's delivered sets may fall
 	// short of the reference's and still pass the differential oracle: on
@@ -127,6 +147,7 @@ func DefaultOptions() Options {
 		TickEvery:     2 * time.Millisecond,
 		ConvergeSlack: 3,
 		LossMargin:    0.12,
+		Config:        experiments.ConfigSpec{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased},
 	}
 }
 
@@ -154,15 +175,18 @@ func (o Options) withDefaults() Options {
 	if len(o.Engines) == 0 {
 		o.Engines = EngineNames()
 	}
+	if o.Config == (experiments.ConfigSpec{}) {
+		o.Config = d.Config
+	}
 	return o
 }
 
-// nodeConfig is the protocol variant every conformance engine runs: the
-// paper's default (root-based traversal, leader communication) — the
-// same variant the chaos suite validates on the cycle engine, so
+// nodeConfig is the node configuration every conformance engine builds:
+// the protocol variant under test over the runtime's directory, so
 // cross-engine differences isolate the runtime, not the protocol.
-func nodeConfig(dir core.Directory) core.Config {
+func nodeConfig(spec experiments.ConfigSpec, dir core.Directory) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Directory = dir
+	spec.Apply(&cfg)
 	return cfg
 }

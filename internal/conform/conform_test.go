@@ -7,6 +7,7 @@ import (
 
 	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
+	"github.com/dps-overlay/dps/internal/experiments"
 	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/livenet"
 	"github.com/dps-overlay/dps/internal/sim"
@@ -394,6 +395,52 @@ func TestEngineContractParity(t *testing.T) {
 	}
 }
 
+// TestVariantReachesEveryRuntime pins that Options.Config reaches the
+// nodes of every engine, not only the cycle engine's: nested
+// subscriptions cover on a leader-mode node and leave an epidemic node's
+// covering table empty (epidemic nodes never cover).
+func TestVariantReachesEveryRuntime(t *testing.T) {
+	epidemic := experiments.ConfigSpec{Name: "epidemic root", Traversal: core.RootBased, Comm: core.Epidemic}
+	for _, name := range EngineNames() {
+		for _, spec := range []experiments.ConfigSpec{DefaultOptions().Config, epidemic} {
+			t.Run(name+"/"+spec.Name, func(t *testing.T) {
+				opts := DefaultOptions()
+				opts.TickEvery = time.Millisecond
+				opts.Config = spec
+				gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
+				e, err := newEngine(name, opts, newPopulation(gen, 1), newRecorder())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				for i := 0; i < 4; i++ {
+					e.AddNode()
+				}
+				for _, expr := range []string{"a>10", "a>20", "a>2"} { // covering stop, then widening
+					sub, err := filter.ParseSubscription(expr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := e.Subscribe(1, sub); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e.AwaitStep(e.Now() + 100)
+				covered := 0
+				if err := e.do(1, func(n *core.Node) { covered = len(n.CoverTable()) }); err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case spec.Comm == core.Epidemic && covered != 0:
+					t.Errorf("epidemic node covers %d subscriptions", covered)
+				case spec.Comm == core.LeaderBased && covered == 0:
+					t.Error("leader node covers nothing — the check is vacuous")
+				}
+			})
+		}
+	}
+}
+
 // TestLiveInboxDropsSurviveRestart pins that Stats counts the inbox drops
 // of every incarnation: flooding a one-slot inbox overflows it, and
 // killing and restarting the nodes must not lose the count.
@@ -401,7 +448,7 @@ func TestLiveInboxDropsSurviveRestart(t *testing.T) {
 	gen := workload.MustGenerator(workload.Workload2(), 1)
 	pop := newPopulation(gen, 1)
 	rt := newLiveRuntime(livenet.Config{TickEvery: time.Millisecond, InboxSize: 1, Seed: 1})
-	e := engineOn(EngineLive, rt, pop, newRecorder())
+	e := engineOn(EngineLive, rt, DefaultOptions().Config, pop, newRecorder())
 	defer e.Close()
 
 	a, b := e.AddNode(), e.AddNode()
@@ -457,16 +504,7 @@ func TestSimReferenceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range res.Scenarios {
-			for j := range res.Scenarios[i].Runs {
-				res.Scenarios[i].Runs[j].ElapsedMS = 0
-			}
-		}
-		out, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return replayReport(t, res)
 	}
 	first, second := report(), report()
 	if string(first) == string(second) {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
+	"github.com/dps-overlay/dps/internal/experiments"
 	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/livenet"
 	"github.com/dps-overlay/dps/internal/sim"
@@ -27,6 +28,7 @@ type Engine struct {
 	runtime
 
 	name  string // "sim", "live" or "tcp", for error messages
+	spec  experiments.ConfigSpec
 	pop   *population
 	rec   *recorder
 	nodes map[sim.NodeID]hosted
@@ -103,12 +105,13 @@ func newEngine(name string, opts Options, pop *population, rec *recorder) (*Engi
 	default:
 		return nil, fmt.Errorf("conform: unknown engine %q", name)
 	}
-	return engineOn(name, rt, pop, rec), nil
+	return engineOn(name, rt, opts.Config, pop, rec), nil
 }
 
-// engineOn wraps a runtime in the engine.
-func engineOn(name string, rt runtime, pop *population, rec *recorder) *Engine {
-	return &Engine{runtime: rt, name: name, pop: pop, rec: rec, nodes: make(map[sim.NodeID]hosted)}
+// engineOn wraps a runtime in the engine; its nodes run the spec's
+// protocol variant.
+func engineOn(name string, rt runtime, spec experiments.ConfigSpec, pop *population, rec *recorder) *Engine {
+	return &Engine{runtime: rt, name: name, spec: spec, pop: pop, rec: rec, nodes: make(map[sim.NodeID]hosted)}
 }
 
 // AwaitStep blocks until the logical clock reaches step: it drives the
@@ -119,10 +122,11 @@ func (e *Engine) AwaitStep(step int64) {
 	}
 }
 
-// newNode builds a protocol node over dir, filtered by the runtime's
-// liveness view and wired to the recorder's delivery hook.
+// newNode builds a protocol node of the engine's variant over dir,
+// filtered by the runtime's liveness view and wired to the recorder's
+// delivery hook.
 func (e *Engine) newNode(dir core.Directory) *core.Node {
-	node, err := core.NewNode(nodeConfig(core.LiveDirectory{Directory: dir, Alive: e.Alive}))
+	node, err := core.NewNode(nodeConfig(e.spec, core.LiveDirectory{Directory: dir, Alive: e.Alive}))
 	if err != nil {
 		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config
 	}

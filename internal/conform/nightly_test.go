@@ -2,7 +2,10 @@ package conform
 
 import (
 	"os"
+	goruntime "runtime"
 	"testing"
+
+	"github.com/dps-overlay/dps/internal/chaos"
 )
 
 // TestConformNightlyMatrix is the long-run conformance job — the
@@ -82,6 +85,82 @@ func TestConformNightlyMatrix(t *testing.T) {
 		}
 		if testing.Verbose() {
 			t.Logf("round %d:\n%s", round, res.Render())
+		}
+	}
+}
+
+// TestChaosNightlySuite is the long-run chaos job on the cycle engine:
+// every scenario preset at three seeds, plus replay equivalence of the
+// full suite at workers 1, 2 and NumCPU. It only runs when
+// CHAOS_NIGHTLY=1 (the nightly CI cron); the PR workflow keeps the short
+// variants in chaos_test.go.
+func TestChaosNightlySuite(t *testing.T) {
+	if os.Getenv("CHAOS_NIGHTLY") == "" {
+		t.Skip("nightly suite; set CHAOS_NIGHTLY=1 to run")
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		opts := chaosOptions()
+		opts.Seed = seed
+		res, err := Run(opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, s := range simRuns(t, res) {
+			if !s.FinalClean {
+				t.Errorf("seed %d %s: final sweep dirty: %d violations %v; sample %+v",
+					seed, s.Scenario, s.FinalCheck.Total, s.FinalCheck.ByInvariant, s.FinalCheck.Sample)
+			}
+			if s.TTR.Samples == 0 {
+				t.Errorf("seed %d %s: no repairs closed", seed, s.Scenario)
+			}
+		}
+	}
+
+	// Replay equivalence of the whole suite across worker counts.
+	run := func(workers int) []byte {
+		opts := chaosOptions()
+		opts.Workers = workers
+		res, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return replayReport(t, res)
+	}
+	counts := []int{1, 2}
+	if n := goruntime.NumCPU(); n > 2 {
+		counts = append(counts, n)
+	}
+	base := run(counts[0])
+	for _, w := range counts[1:] {
+		if got := run(w); string(got) != string(base) {
+			t.Errorf("workers=%d: chaos suite report differs from sequential run", w)
+		}
+	}
+}
+
+// TestCorruptionPropertyNightly is the larger-N variant for the nightly
+// cron: longer random op sequences across more seeds.
+func TestCorruptionPropertyNightly(t *testing.T) {
+	if os.Getenv("CHAOS_NIGHTLY") == "" {
+		t.Skip("nightly fuzz; set CHAOS_NIGHTLY=1 to run")
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		sc := randomCorruptionScenario(seed*7919, 12)
+		opts := chaosOptions()
+		opts.Seed = seed
+		opts.Custom = []chaos.Scenario{sc}
+		res, err := Run(opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		s := simRuns(t, res)[0]
+		if !s.FinalClean {
+			t.Errorf("seed %d: final sweep dirty: %v; sample %+v",
+				seed, s.FinalCheck.ByInvariant, s.FinalCheck.Sample)
+		}
+		if len(s.Unrepaired) > 0 {
+			t.Errorf("seed %d: %d faults never repaired (steps %v)",
+				seed, len(s.Unrepaired), s.Unrepaired)
 		}
 	}
 }

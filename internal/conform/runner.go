@@ -90,6 +90,10 @@ type EngineRun struct {
 	TTRByKind   map[string]TTRStats `json:"ttr_by_kind,omitempty"`
 	MaxTTR      int64               `json:"max_ttr,omitempty"`
 	WithinBound bool                `json:"within_bound"`
+	// Survivors is the fraction of the initial population (ids
+	// 1..Nodes) alive at the end: churn joins take higher ids and must
+	// not mask crash losses.
+	Survivors float64 `json:"survivors"`
 	// Delivery accounting against the shared oracle.
 	Events          int     `json:"events"`
 	ExpectedPairs   int     `json:"expected_pairs"`
@@ -214,16 +218,21 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 	names := opts.Scenarios
-	if len(names) == 0 {
+	if len(names) == 0 && len(opts.Custom) == 0 {
 		names = chaos.PresetNames()
 	}
-	res := &Result{Opts: opts, Invariants: chaos.Invariants()}
+	var scenarios []chaos.Scenario
 	for _, name := range names {
 		sc, ok := chaos.Preset(name)
 		if !ok {
 			return nil, fmt.Errorf("conform: unknown chaos scenario %q (have %s)",
 				name, strings.Join(chaos.PresetNames(), ", "))
 		}
+		scenarios = append(scenarios, sc)
+	}
+	scenarios = append(scenarios, opts.Custom...)
+	res := &Result{Opts: opts, Invariants: chaos.Invariants()}
+	for _, sc := range scenarios {
 		sr := ScenarioResult{Scenario: sc.Name, Timeline: sc}
 		ref, err := runScenarioOn(EngineSim, sc, opts)
 		if err != nil {
@@ -269,8 +278,7 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 		return nil, err
 	}
 
-	checker := chaos.NewChecker(e, chaos.CheckerOptions{LeaderMode: true})
-	checker.Enable(true)
+	checker := chaos.NewChecker(e, chaos.CheckerOptions{LeaderMode: opts.Config.Comm == core.LeaderBased})
 	inj, err := chaos.NewInjector(e, e, checker, sc, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -297,9 +305,12 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 	// Convergence: fault-free sweeps until the configuration is stably
 	// legal (two consecutive clean sweeps) or the budget runs out. The
 	// slack multiplier absorbs the asynchronous engines' real scheduling
-	// delays; the reference exits on the clean streak long before it.
-	budget := int64(float64(sc.Converge) * opts.ConvergeSlack)
-	deadline := start + sc.Steps + budget
+	// delays; the sim reference gets the scenario's own window and bound.
+	slack := opts.ConvergeSlack
+	if name == EngineSim {
+		slack = 1
+	}
+	deadline := start + sc.Steps + int64(float64(sc.Converge)*slack)
 	cleanStreak := 0
 	for {
 		next := e.Now() + opts.CheckEvery
@@ -327,9 +338,12 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 	repairs := checker.Repairs()
 	unrepaired := checker.Unrepaired()
 	ttr := ttrStats(repairs)
-	bound := sc.MaxTTR
-	if bound > 0 && name != EngineSim {
-		bound = int64(float64(bound) * opts.ConvergeSlack)
+	bound := int64(float64(sc.MaxTTR) * slack)
+	initialAlive := 0
+	for _, id := range e.AliveIDs() {
+		if int(id) <= opts.Nodes {
+			initialAlive++
+		}
 	}
 	run := &EngineRun{
 		Engine:          name,
@@ -344,6 +358,7 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 		TTRByKind:       ttrByKind(repairs),
 		MaxTTR:          bound,
 		WithinBound:     bound == 0 || (len(unrepaired) == 0 && ttr.Max <= bound),
+		Survivors:       float64(initialAlive) / float64(opts.Nodes),
 		Events:          events,
 		ExpectedPairs:   expectedPairs,
 		DeliveredPairs:  deliveredPairs,
@@ -455,10 +470,11 @@ func diffRuns(ref, run *EngineRun, margin float64) DiffResult {
 func (r *Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Cross-engine conformance — chaos scenarios with one oracle on all engines\n")
-	fmt.Fprintf(&b, "(%d nodes × %d subscriptions, tick %v, loss margin %.2f, seed %d)\n",
-		r.Opts.Nodes, r.Opts.SubsPerNode, r.Opts.TickEvery, r.Opts.LossMargin, r.Opts.Seed)
-	fmt.Fprintf(&b, "%-16s %-5s %-8s %7s %8s %9s %9s %10s %10s %6s\n",
-		"scenario", "eng", "verdict", "faults", "repairs", "ttr p50", "ttr max", "delivery", "agreement", "false")
+	fmt.Fprintf(&b, "(%d nodes × %d subscriptions, %s, tick %v, loss margin %.2f, seed %d)\n",
+		r.Opts.Nodes, r.Opts.SubsPerNode, r.Opts.Config.Name, r.Opts.TickEvery, r.Opts.LossMargin, r.Opts.Seed)
+	fmt.Fprintf(&b, "%-16s %-5s %-8s %7s %8s %9s %9s %7s %10s %10s %10s %6s\n",
+		"scenario", "eng", "verdict", "faults", "repairs", "ttr p50", "ttr max", "bound",
+		"delivery", "survivors", "agreement", "false")
 	for _, sc := range r.Scenarios {
 		diffFor := func(engine string) *DiffResult {
 			for i := range sc.Diffs {
@@ -482,9 +498,14 @@ func (r *Result) Render() string {
 					verdict = "DIVERGED"
 				}
 			}
-			fmt.Fprintf(&b, "%-16s %-5s %-8s %7d %8d %9d %9d %10.3f %10s %6d\n",
+			bound := "-"
+			if run.MaxTTR > 0 {
+				bound = fmt.Sprint(run.MaxTTR)
+			}
+			fmt.Fprintf(&b, "%-16s %-5s %-8s %7d %8d %9d %9d %7s %10.3f %10.2f %10s %6d\n",
 				sc.Scenario, run.Engine, verdict, len(run.Applied), run.TTR.Samples,
-				run.TTR.Median, run.TTR.Max, run.DeliveryRatio, agreement, run.FalseDeliveries)
+				run.TTR.Median, run.TTR.Max, bound, run.DeliveryRatio, run.Survivors,
+				agreement, run.FalseDeliveries)
 		}
 	}
 	for _, sc := range r.Scenarios {

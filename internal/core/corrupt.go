@@ -19,7 +19,7 @@ import (
 // produce.
 //
 // Like snapshots, corruption ops may only be applied between engine steps
-// (or from the coordinator's OnStepBegin hook): node state is not
+// (or on the node's own goroutine on the live engines): node state is not
 // synchronized for mid-step mutation. Ops mutate local state only — they
 // send no messages and consume no engine randomness, so a corrupted run
 // stays a pure function of (scenario, seed) at any worker count.

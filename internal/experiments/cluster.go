@@ -31,8 +31,8 @@ type ConfigSpec struct {
 	CrossFanout int // epidemic k'; 0 keeps the default
 }
 
-// apply mutates a node config according to the spec.
-func (s ConfigSpec) apply(cfg *core.Config) {
+// Apply mutates a node config according to the spec.
+func (s ConfigSpec) Apply(cfg *core.Config) {
 	cfg.Traversal = s.Traversal
 	cfg.Comm = s.Comm
 	if s.Fanout > 0 {
@@ -81,11 +81,6 @@ type Cluster struct {
 	// stays seed-deterministic at any worker count.
 	treeForwards int64
 
-	// subsByNode remembers each node's durable subscriptions, so a chaos
-	// restart can bring the identity back re-issuing them and a graceful
-	// leave can withdraw them.
-	subsByNode map[sim.NodeID][]filter.Subscription
-
 	mu        sync.Mutex
 	spec      ConfigSpec
 	seed      int64
@@ -99,15 +94,14 @@ type Cluster struct {
 // way.
 func NewCluster(spec ConfigSpec, seed int64) *Cluster {
 	c := &Cluster{
-		Dir:        core.NewSharedDirectory(),
-		Nodes:      make(map[sim.NodeID]*core.Node),
-		Registry:   metrics.NewRegistry(),
-		Tracker:    metrics.NewDeliveryTracker(),
-		Oracle:     semtree.New(),
-		Contacted:  make(map[core.EventID]map[sim.NodeID]bool),
-		subsByNode: make(map[sim.NodeID][]filter.Subscription),
-		spec:       spec,
-		seed:       seed,
+		Dir:       core.NewSharedDirectory(),
+		Nodes:     make(map[sim.NodeID]*core.Node),
+		Registry:  metrics.NewRegistry(),
+		Tracker:   metrics.NewDeliveryTracker(),
+		Oracle:    semtree.New(),
+		Contacted: make(map[core.EventID]map[sim.NodeID]bool),
+		spec:      spec,
+		seed:      seed,
 	}
 	c.Engine = sim.NewEngine(sim.Config{
 		Seed: seed,
@@ -153,11 +147,11 @@ func (c *Cluster) AddNode() sim.NodeID {
 }
 
 // buildNode constructs a protocol node wired to the cluster's directory,
-// hooks and metrics under the given id (fresh spawn or restart).
+// hooks and metrics under the given id.
 func (c *Cluster) buildNode(id sim.NodeID) *core.Node {
 	cfg := core.DefaultConfig()
 	cfg.Directory = core.LiveDirectory{Directory: c.Dir, Alive: c.Engine.Alive}
-	c.spec.apply(&cfg)
+	c.spec.Apply(&cfg)
 	if c.MutateConfig != nil {
 		c.MutateConfig(&cfg)
 	}
@@ -181,43 +175,6 @@ func (c *Cluster) buildNode(id sim.NodeID) *core.Node {
 	return node
 }
 
-// RestartNode revives a crashed node under its old id with a fresh
-// protocol instance that re-issues the identity's durable subscriptions
-// (the fail-recovery model: protocol state is lost, the subscription
-// intent survives the reboot). The oracle never forgot the member — its
-// expected-recipient sets filter by liveness at publish time — so only
-// the protocol node is rebuilt.
-func (c *Cluster) RestartNode(id sim.NodeID) {
-	node := c.buildNode(id)
-	if err := c.Engine.Restart(id, node); err != nil {
-		panic(fmt.Sprintf("experiments: engine.Restart: %v", err))
-	}
-	c.Nodes[id] = node
-	for _, sub := range c.subsByNode[id] {
-		if err := node.Subscribe(sub); err != nil {
-			panic(fmt.Sprintf("experiments: re-subscribe after restart: %v", err))
-		}
-	}
-}
-
-// LeaveNode makes a live node withdraw every subscription it holds — a
-// graceful departure from all its groups (the node keeps running). The
-// member leaves the oracle too: events published afterwards no longer
-// expect it.
-func (c *Cluster) LeaveNode(id sim.NodeID) {
-	node := c.Nodes[id]
-	if node == nil {
-		return
-	}
-	for _, sub := range c.subsByNode[id] {
-		if err := node.Unsubscribe(sub); err != nil {
-			panic(fmt.Sprintf("experiments: unsubscribe on leave: %v", err))
-		}
-	}
-	delete(c.subsByNode, id)
-	c.Oracle.RemoveMember(semtree.MemberID(id))
-}
-
 // Subscribe registers the subscription at the node and mirrors it in the
 // oracle.
 func (c *Cluster) Subscribe(id sim.NodeID, sub filter.Subscription) error {
@@ -227,7 +184,6 @@ func (c *Cluster) Subscribe(id sim.NodeID, sub filter.Subscription) error {
 	if _, err := c.Oracle.Subscribe(semtree.MemberID(id), sub); err != nil {
 		return err
 	}
-	c.subsByNode[id] = append(c.subsByNode[id], sub)
 	return nil
 }
 

@@ -196,36 +196,6 @@ func TestCoverCompactsRoutingState(t *testing.T) {
 	t.Logf("%d nested subscriptions, all covered", nested)
 }
 
-// TestCoverChurnWaveEndsClean drives covering through the churn-wave
-// chaos preset — joins and graceful leaves racing repairs — the regime
-// where unsubscribe must un-cover and re-propagate correctly (including
-// the raced-leave exits in the join machinery). The scenario must end
-// invariant-clean within its repair bound, with delivery intact.
-func TestCoverChurnWaveEndsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos scenario is long; skipped with -short")
-	}
-	opts := chaosTestOptions()
-	opts.Scenarios = []string{"churn-wave"}
-	res, err := RunChaos(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Scenarios {
-		if !s.FinalClean {
-			t.Errorf("%s: final sweep dirty: %d violations %v; sample %+v",
-				s.Scenario, s.FinalCheck.Total, s.FinalCheck.ByInvariant, s.FinalCheck.Sample)
-		}
-		if !s.WithinBound {
-			t.Errorf("%s: repair bound %d exceeded (ttr max %d, %d unrepaired)",
-				s.Scenario, s.MaxTTR, s.TTR.Max, len(s.Unrepaired))
-		}
-		if s.DeliveryRatio < 0.5 {
-			t.Errorf("%s: delivery ratio %.3f collapsed", s.Scenario, s.DeliveryRatio)
-		}
-	}
-}
-
 // TestCoverSkipsEpidemic pins that epidemic nodes never cover: a covered
 // member would have no deterministic delivery path under gossip, so a
 // node holding nested subscriptions routes each in a membership of its

@@ -174,39 +174,9 @@ func TestRestartRevivesWithFreshProcess(t *testing.T) {
 	}
 }
 
-func TestOnStepBeginFiresBeforeDeliveries(t *testing.T) {
-	var order []string
-	e := NewEngine(Config{Seed: 1, OnStepBegin: func(step int64) {
-		order = append(order, fmt.Sprintf("begin:%d", step))
-	}})
-	a, b := &echoProc{}, &echoProc{}
-	_ = e.Add(1, a)
-	_ = e.Add(2, b)
-	a.env.Send(2, "x")
-	e.Step()
-	order = append(order, fmt.Sprintf("delivered:%d", len(b.received)))
-	if fmt.Sprint(order) != "[begin:1 delivered:1]" {
-		t.Errorf("hook order = %v", order)
-	}
-	// The hook is the fault-injection point: a kill made there must take
-	// effect for the very step being started.
-	killed := false
-	e.cfg.OnStepBegin = func(step int64) {
-		if !killed {
-			killed = true
-			e.Kill(2)
-		}
-	}
-	a.env.Send(2, "post-mortem")
-	e.Step()
-	if len(b.received) != 1 {
-		t.Errorf("message delivered to node killed in OnStepBegin: %v", b.received)
-	}
-}
-
 // TestParallelEquivalenceWithFaults extends the trace-equivalence contract
 // to the fault topology: partitions, cuts, restarts and loss windows
-// injected via OnStepBegin yield bit-identical traces at every worker
+// injected between steps yield bit-identical traces at every worker
 // count.
 func TestParallelEquivalenceWithFaults(t *testing.T) {
 	const nodes, steps = 12, 40
@@ -221,7 +191,8 @@ func TestParallelEquivalenceWithFaults(t *testing.T) {
 			procs[id] = &chatterProc{n: nodes}
 			_ = e.Add(id, procs[id])
 		}
-		e.cfg.OnStepBegin = func(step int64) {
+		// Faults for step S apply just before it runs.
+		inject := func(step int64) {
 			switch step {
 			case 5:
 				e.SetPartitionClass(1, 1)
@@ -240,7 +211,10 @@ func TestParallelEquivalenceWithFaults(t *testing.T) {
 				procs[6] = fresh
 			}
 		}
-		e.Run(steps)
+		for i := 0; i < steps; i++ {
+			inject(e.Now() + 1)
+			e.Step()
+		}
 		out := drops
 		for id := NodeID(1); id <= nodes; id++ {
 			for _, ev := range procs[id].trace {

@@ -127,12 +127,6 @@ type Config struct {
 	// OnDrop, if set, observes every discarded message with the typed
 	// reason: LossRate draws, dead recipients, or partition cuts.
 	OnDrop func(from, to NodeID, msg any, reason DropReason)
-	// OnStepBegin, if set, fires at the top of every step — after the
-	// clock advances, before services and deliveries. It is the engine's
-	// fault-injection point: mutations made here (Kill, Restart, CutLink,
-	// SetLossRate) apply to the step about to run, on the coordinator
-	// goroutine, identically under any worker count.
-	OnStepBegin func(step int64)
 }
 
 type envelope struct {
@@ -213,7 +207,7 @@ func mkLink(a, b NodeID) linkKey {
 
 // CutLink severs the bidirectional link between a and b: messages in
 // either direction drop with DropPartition until HealLink. Safe to call
-// between steps (or from OnStepBegin).
+// between steps.
 func (e *Engine) CutLink(a, b NodeID) {
 	if e.cuts == nil {
 		e.cuts = make(map[linkKey]struct{})
@@ -230,7 +224,7 @@ func (e *Engine) HealLink(a, b NodeID) {
 // SetPartitionClass assigns a node to a partition class. Messages whose
 // endpoints sit in different classes drop with DropPartition; the default
 // class is 0, so partitioning a population in two takes one call per node
-// of the minority side. Safe to call between steps (or from OnStepBegin).
+// of the minority side. Safe to call between steps.
 func (e *Engine) SetPartitionClass(id NodeID, class int) {
 	if class == 0 {
 		delete(e.classes, id)
@@ -263,13 +257,8 @@ func (e *Engine) Linked(a, b NodeID) bool {
 }
 
 // SetLossRate adjusts the uniform message loss probability mid-run (loss
-// windows). Safe to call between steps (or from OnStepBegin).
+// windows). Safe to call between steps.
 func (e *Engine) SetLossRate(rate float64) { e.cfg.LossRate = rate }
-
-// SetOnStepBegin installs (or replaces) the per-step fault hook after
-// construction — deployments that build the engine before choosing a
-// fault scenario arm the injector through this. Safe between steps only.
-func (e *Engine) SetOnStepBegin(fn func(step int64)) { e.cfg.OnStepBegin = fn }
 
 // LossRate reports the current uniform loss probability.
 func (e *Engine) LossRate() float64 { return e.cfg.LossRate }
@@ -379,9 +368,6 @@ func (e *Engine) Env(id NodeID) Env {
 // preserving the sequential executor's trace bit-for-bit.
 func (e *Engine) Step() {
 	e.step++
-	if e.cfg.OnStepBegin != nil {
-		e.cfg.OnStepBegin(e.step)
-	}
 	for _, s := range e.services {
 		s.BeginStep(e.step)
 	}
