@@ -241,12 +241,16 @@ func (n *membershipSys) repropagateCovered(covererKey string) {
 // entry whose coverer membership vanished through a path that could not
 // un-cover in place (root dissolution, repair-driven drops, raced
 // merges) is re-propagated, bounding how long a stale coverer can strand
-// covered subscribers to one tick.
+// covered subscribers to one tick. It sweeps only after a mutation that
+// can orphan an entry (coversStale).
 func (n *membershipSys) recoverOrphanedCovers() {
-	if len(n.covered) == 0 {
+	if !n.coversStale {
 		return
 	}
-	for _, key := range append([]string(nil), n.coverOrder...) {
+	n.coversStale = false
+	keys := lazyKeys{keys: n.coverOrder}
+	for i := 0; i < len(keys.keys); i++ {
+		key := keys.keys[i]
 		e, ok := n.covered[key]
 		if !ok {
 			continue
@@ -254,6 +258,7 @@ func (n *membershipSys) recoverOrphanedCovers() {
 		if _, alive := n.groups[e.coverer]; alive {
 			continue
 		}
+		keys.own()
 		n.removeCover(key)
 		m := &membership{
 			af:        e.af,

@@ -183,10 +183,12 @@ func (n *repairSys) heartbeatRound(now int64) {
 	}
 	// Leaderless grace: an active leader-mode membership without a live
 	// leader re-attaches once no promotion announcement arrives in time.
-	// reattach can create the root membership synchronously: snapshot.
+	// reattach can create the root membership synchronously: own the keys
+	// before any repair call.
 	if n.cfg.Comm == LeaderBased {
-		for _, key := range n.snapshotGroupKeys() {
-			m := n.groups[key]
+		keys := lazyKeys{keys: n.groupOrder}
+		for i := 0; i < len(keys.keys); i++ {
+			m := n.groups[keys.keys[i]]
 			if m == nil || m.state != stateActive {
 				continue
 			}
@@ -201,6 +203,7 @@ func (n *repairSys) heartbeatRound(now int64) {
 					m.leaderlessAt = now
 				case now-m.leaderlessAt > timeout:
 					m.leaderlessAt = 0
+					keys.own()
 					n.reattach(m)
 				}
 				continue
@@ -219,6 +222,7 @@ func (n *repairSys) heartbeatRound(now int64) {
 					m.leaderlessAt = now
 				case now-m.leaderlessAt > timeout:
 					m.leaderlessAt = 0
+					keys.own()
 					owner, okO := n.cfg.Directory.Owner(m.af.Attr())
 					switch {
 					case okO && owner == n.ID():
@@ -244,6 +248,7 @@ func (n *repairSys) heartbeatRound(now int64) {
 				m.leaderlessAt = now
 			case now-m.leaderlessAt > timeout:
 				m.leaderlessAt = 0
+				keys.own()
 				n.reattach(m)
 			}
 		}
@@ -342,7 +347,7 @@ func (n *repairSys) replaceLeader(m *membership) {
 	}
 	n.broadcastCoLeaders(m)
 	// Freshly promoted co-leaders need the full groupview they now mirror.
-	full := viewExchange{
+	var full message = viewExchange{
 		AF:       m.af,
 		Members:  m.members.ids(),
 		Parent:   cloneBranch(m.parent),
@@ -360,7 +365,7 @@ func (n *repairSys) replaceLeader(m *membership) {
 // broadcastCoLeaders tells every member the current leadership (leader
 // mode; members only track leaders and co-leaders).
 func (n *repairSys) broadcastCoLeaders(m *membership) {
-	msg := coLeaderUpdate{AF: m.af, Leader: m.leader, CoLeaders: m.coLeaders.ids()}
+	var msg message = coLeaderUpdate{AF: m.af, Leader: m.leader, CoLeaders: m.coLeaders.ids()}
 	for _, id := range m.members.ids() {
 		n.send(id, msg)
 	}
@@ -505,7 +510,7 @@ func (n *repairSys) demoteInto(m *membership, winner sim.NodeID, winnerCoLead []
 	m.leaderlessAt = 0
 	mine := m.members.ids()
 	m.coLeaders = newView(winnerCoLead...)
-	ann := coLeaderUpdate{AF: m.af, Leader: winner, CoLeaders: winnerCoLead}
+	var ann message = coLeaderUpdate{AF: m.af, Leader: winner, CoLeaders: winnerCoLead}
 	for _, id := range mine {
 		if id != n.ID() && id != winner {
 			n.send(id, ann)
@@ -581,13 +586,13 @@ func (n *repairSys) viewExchangeRound() {
 		if m.state != stateActive {
 			continue // validation sent the group back into a walk
 		}
-		msg := viewExchange{
-			AF:       m.af,
-			Members:  n.mem.memberSample(m),
-			Parent:   cloneBranch(m.parent),
-			Branches: m.branchList(),
-			Leader:   m.leader,
-			CoLead:   m.coLeaders.ids(),
+		// The exchange is built only once its targets are known: most
+		// leader-mode members have none. An epidemic member sample draws
+		// from the node's stream ahead of the target sample, so it is
+		// drawn here.
+		var sample []sim.NodeID
+		if n.cfg.Comm == Epidemic {
+			sample = n.mem.memberSample(m)
 		}
 		var targets []sim.NodeID
 		adjacent := false // may this node speak for the group tree-wise?
@@ -632,7 +637,7 @@ func (n *repairSys) viewExchangeRound() {
 			// mirror pushing its view to children would displace the
 			// authoritative leader from their predviews.
 			if m.isLeaderHere(n.ID()) {
-				targets = m.coLeaders.ids()
+				targets = append(targets, m.coLeaders.list...)
 				if p, ok := m.parent.first(); ok {
 					targets = append(targets, p)
 				}
@@ -672,8 +677,21 @@ func (n *repairSys) viewExchangeRound() {
 				}
 			}
 		}
-		for _, t := range targets {
-			n.send(t, msg)
+		if len(targets) > 0 {
+			if sample == nil {
+				sample = n.mem.memberSample(m)
+			}
+			var msg message = viewExchange{
+				AF:       m.af,
+				Members:  sample,
+				Parent:   cloneBranch(m.parent),
+				Branches: m.branchList(),
+				Leader:   m.leader,
+				CoLead:   m.coLeaders.ids(),
+			}
+			for _, t := range targets {
+				n.send(t, msg)
+			}
 		}
 		// Deposed duplicate roots dissolve themselves (duplicate-tree
 		// merge of §4.1).
@@ -714,10 +732,11 @@ func (n *repairSys) viewExchangeRound() {
 // handleFailure already removed — after which nothing would ever remove it
 // again.
 func (n *repairSys) validateStructure(m *membership) {
-	// deleteBranch mutates the maintained order: iterate a copy.
-	for _, k := range append([]string(nil), m.branchOrder...) {
-		b := m.branches[k]
-		if b.AF.Key() == m.af.Key() || !m.af.Includes(b.AF) {
+	// deleteBranch removes only the key at hand from the maintained
+	// order: walking it backwards leaves the keys still to visit in place.
+	for i := len(m.branchOrder) - 1; i >= 0; i-- {
+		k := m.branchOrder[i]
+		if b := m.branches[k]; b.AF.Key() == m.af.Key() || !m.af.Includes(b.AF) {
 			m.deleteBranch(k)
 		}
 	}

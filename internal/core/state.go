@@ -146,6 +146,11 @@ type state struct {
 	// membership. A filter key is in groups or in covered, never both.
 	covered    map[string]*coverEntry // by covered canonical filter key
 	coverOrder []string               // sorted keys of covered (maintained)
+	// coversStale is set by every mutation that can leave a covering entry
+	// without its coverer (a group removed, an entry added or re-targeted)
+	// and cleared when recoverOrphanedCovers starts its sweep, so a node
+	// whose table and groups did not change skips the sweep.
+	coversStale bool
 
 	// subsByAttr indexes live subscriptions by their first attribute: a
 	// subscription can only match an event carrying that attribute, so
@@ -214,6 +219,7 @@ func (s *state) removeGroup(key string) {
 	if _, ok := s.groups[key]; ok {
 		delete(s.groups, key)
 		s.groupOrder = removeSortedKey(s.groupOrder, key)
+		s.coversStale = true
 	}
 }
 
@@ -238,6 +244,25 @@ func (s *state) removeJoining(key string) {
 // anti-entropy). Entries must be re-looked-up — they can go stale mid-loop.
 func (s *state) snapshotGroupKeys() []string {
 	return append([]string(nil), s.groupOrder...)
+}
+
+// lazyKeys walks a maintained key order (groupOrder, coverOrder) for a
+// loop that mutates it only when an entry needs repair. It aliases the
+// order until own is called — which the loop must do before its first
+// mutation — and copies it then, so a loop that mutates nothing copies
+// nothing, and one that does walks the same keys a snapshot taken up
+// front would have held.
+type lazyKeys struct {
+	keys  []string
+	owned bool
+}
+
+// own detaches the walked keys from the maintained order.
+func (l *lazyKeys) own() {
+	if !l.owned {
+		l.keys = append([]string(nil), l.keys...)
+		l.owned = true
+	}
 }
 
 // --- Membership lifecycle --------------------------------------------------
@@ -286,6 +311,7 @@ func (s *state) addCover(key string, e *coverEntry) {
 		s.coverOrder = insertSortedKey(s.coverOrder, key)
 	}
 	s.covered[key] = e
+	s.coversStale = true
 }
 
 // removeCover deletes the entry under key, maintaining the order.
@@ -315,6 +341,7 @@ func (s *state) retargetCoverEdges(oldKey, newKey string) {
 	for _, e := range s.covered {
 		if e.coverer == oldKey {
 			e.coverer = newKey
+			s.coversStale = true
 		}
 	}
 }

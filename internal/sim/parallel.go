@@ -37,11 +37,12 @@ import (
 	"sync"
 )
 
-// deliveryTask is one delivery unit: the envelope and its global unit
-// index (batch position among accepted deliveries).
+// deliveryTask is one delivery unit: the envelope, its recipient's slot
+// and its global unit index (batch position among accepted deliveries).
 type deliveryTask struct {
 	unit int
 	env  envelope
+	s    *slot
 }
 
 // tickTask is one tick unit: the node's slot and its global unit index
@@ -92,17 +93,18 @@ func (e *Engine) stepParallel(batch []envelope, w int) {
 	// the sequential executor — and shard the surviving deliveries.
 	units := 0
 	for _, env := range batch {
-		if _, ok := e.accept(env); !ok {
+		s, ok := e.accept(env)
+		if !ok {
 			continue
 		}
 		sh := shardOf(env.to, w)
-		p.deliv[sh] = append(p.deliv[sh], deliveryTask{unit: units, env: env})
+		p.deliv[sh] = append(p.deliv[sh], deliveryTask{unit: units, env: env, s: s})
 		units++
 	}
 	// Shard the ticks in ascending NodeID order (e.order is sorted).
-	for _, id := range e.order {
-		if s := e.slots[id]; s.alive {
-			sh := shardOf(id, w)
+	for _, s := range e.order {
+		if s.alive {
+			sh := shardOf(s.id, w)
 			p.ticks[sh] = append(p.ticks[sh], tickTask{unit: units, s: s})
 			units++
 		}
@@ -125,10 +127,9 @@ func (e *Engine) stepParallel(batch []envelope, w int) {
 		go func(shard int) {
 			defer wg.Done()
 			for _, t := range p.deliv[shard] {
-				s := e.slots[t.env.to]
-				s.env.sink = &bufs[t.unit]
-				s.proc.OnMessage(t.env.from, t.env.msg)
-				s.env.sink = nil
+				t.s.env.sink = &bufs[t.unit]
+				t.s.proc.OnMessage(t.env.from, t.env.msg)
+				t.s.env.sink = nil
 			}
 			for _, t := range p.ticks[shard] {
 				t.s.env.sink = &bufs[t.unit]
@@ -141,24 +142,20 @@ func (e *Engine) stepParallel(batch []envelope, w int) {
 
 	// Merge (coordinator): global unit order is delivery batch order, then
 	// ascending NodeID tick order — the sequential append order.
-	due := e.step + e.cfg.Latency
-	out := e.queue[due]
+	out := e.dueBucket()
 	for i := 0; i < units; i++ {
 		buf := bufs[i]
 		for _, env := range buf {
 			if e.cfg.OnSend != nil {
 				e.cfg.OnSend(env.from, env.to, env.msg)
 			}
-			out = append(out, env)
+			*out = append(*out, env)
 		}
 		// Zero the drained buffer so message payloads from a large step
 		// (e.g. an overlay build phase) do not stay pinned through the
 		// rest of the run; keep the capacity for reuse.
 		clear(buf)
 		bufs[i] = buf[:0]
-	}
-	if len(out) > 0 {
-		e.queue[due] = out
 	}
 }
 

@@ -135,6 +135,7 @@ type envelope struct {
 }
 
 type slot struct {
+	id    NodeID
 	proc  Process
 	env   *nodeEnv
 	alive bool
@@ -157,12 +158,17 @@ type Service interface {
 
 // Engine is the cycle-based simulator.
 type Engine struct {
-	cfg      Config
-	step     int64
-	slots    map[NodeID]*slot
-	order    []NodeID // ascending; includes dead nodes (skipped)
-	dirty    bool     // order needs re-sorting
-	queue    map[int64][]envelope
+	cfg   Config
+	step  int64
+	slots map[NodeID]*slot
+	order []*slot // ascending id; includes dead nodes (skipped)
+	dirty bool    // order needs re-sorting
+	// queue holds the in-flight batches in a ring of Latency+1 buckets:
+	// the batch due at step t sits in queue[t%len(queue)]. Every send is
+	// due Latency steps ahead, so the bucket a step delivers from is
+	// never the one its sends append to, and a drained bucket is reused
+	// for the batch due Latency+1 steps later.
+	queue    [][]envelope
 	rng      *rand.Rand
 	alive    int
 	services []Service
@@ -187,7 +193,7 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{
 		cfg:   cfg,
 		slots: make(map[NodeID]*slot),
-		queue: make(map[int64][]envelope),
+		queue: make([][]envelope, cfg.Latency+1),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
@@ -282,13 +288,16 @@ func (e *Engine) Add(id NodeID, p Process) error {
 		return fmt.Errorf("sim: node %d already exists", id)
 	}
 	const mix = int64(-0x61C8864680B583EB) // golden-ratio mixer (2^64/phi as int64)
-	env := &nodeEnv{engine: e, id: id,
+	s := &slot{id: id, proc: p, alive: true}
+	s.env = &nodeEnv{engine: e, slot: s,
 		rng: rand.New(rand.NewSource(e.cfg.Seed ^ (int64(id)+1)*mix))}
-	e.slots[id] = &slot{proc: p, env: env, alive: true}
-	e.order = append(e.order, id)
-	e.dirty = true
+	e.slots[id] = s
+	if n := len(e.order); n > 0 && e.order[n-1].id > id {
+		e.dirty = true
+	}
+	e.order = append(e.order, s)
 	e.alive++
-	p.Attach(env)
+	p.Attach(s.env)
 	return nil
 }
 
@@ -337,9 +346,9 @@ func (e *Engine) AliveCount() int { return e.alive }
 func (e *Engine) AliveIDs() []NodeID {
 	e.sortOrder()
 	out := make([]NodeID, 0, e.alive)
-	for _, id := range e.order {
-		if e.slots[id].alive {
-			out = append(out, id)
+	for _, s := range e.order {
+		if s.alive {
+			out = append(out, s.id)
 		}
 	}
 	return out
@@ -371,14 +380,18 @@ func (e *Engine) Step() {
 	for _, s := range e.services {
 		s.BeginStep(e.step)
 	}
-	batch := e.queue[e.step]
-	delete(e.queue, e.step)
+	bucket := e.step % int64(len(e.queue))
+	batch := e.queue[bucket]
 	e.sortOrder()
 	if w := e.resolveWorkers(); w > 1 {
 		e.stepParallel(batch, w)
 	} else {
 		e.stepSequential(batch)
 	}
+	// Zero the drained batch so its payloads are not pinned until the
+	// bucket refills; keep the capacity for the batch due next in it.
+	clear(batch)
+	e.queue[bucket] = batch[:0]
 	for _, s := range e.services {
 		s.EndStep(e.step)
 	}
@@ -426,8 +439,8 @@ func (e *Engine) stepSequential(batch []envelope) {
 			s.proc.OnMessage(env.from, env.msg)
 		}
 	}
-	for _, id := range e.order {
-		if s := e.slots[id]; s.alive {
+	for _, s := range e.order {
+		if s.alive {
 			s.proc.OnTick()
 		}
 	}
@@ -444,25 +457,19 @@ func (e *Engine) sortOrder() {
 	if !e.dirty {
 		return
 	}
-	sort.Slice(e.order, func(i, j int) bool { return e.order[i] < e.order[j] })
+	sort.Slice(e.order, func(i, j int) bool { return e.order[i].id < e.order[j].id })
 	e.dirty = false
 }
 
-func (e *Engine) send(from, to NodeID, msg any) {
-	if s, ok := e.slots[from]; !ok || !s.alive {
-		return // dead nodes cannot speak
-	}
-	if e.cfg.OnSend != nil {
-		e.cfg.OnSend(from, to, msg)
-	}
-	due := e.step + e.cfg.Latency
-	e.queue[due] = append(e.queue[due], envelope{from: from, to: to, msg: msg})
+// dueBucket returns the queue bucket of the batch this step's sends join.
+func (e *Engine) dueBucket() *[]envelope {
+	return &e.queue[(e.step+e.cfg.Latency)%int64(len(e.queue))]
 }
 
 // nodeEnv implements Env for one node of the cycle engine.
 type nodeEnv struct {
 	engine *Engine
-	id     NodeID
+	slot   *slot
 	rng    *rand.Rand
 	// sink, when non-nil, redirects sends into the parallel executor's
 	// per-unit buffer instead of the global queue. It is set by the worker
@@ -474,7 +481,7 @@ type nodeEnv struct {
 var _ Env = (*nodeEnv)(nil)
 
 // ID implements Env.
-func (n *nodeEnv) ID() NodeID { return n.id }
+func (n *nodeEnv) ID() NodeID { return n.slot.id }
 
 // Now implements Env.
 func (n *nodeEnv) Now() int64 { return n.engine.step }
@@ -484,12 +491,21 @@ func (n *nodeEnv) Rand() *rand.Rand { return n.rng }
 
 // Send implements Env.
 func (n *nodeEnv) Send(to NodeID, m any) {
+	env := envelope{from: n.slot.id, to: to, msg: m}
 	if n.sink != nil {
 		// Mid-step under the parallel executor: the sender is live by
 		// construction (dead nodes are never processed), and the OnSend
 		// hook fires at merge time on the coordinator.
-		*n.sink = append(*n.sink, envelope{from: n.id, to: to, msg: m})
+		*n.sink = append(*n.sink, env)
 		return
 	}
-	n.engine.send(n.id, to, m)
+	if !n.slot.alive {
+		return // dead nodes cannot speak
+	}
+	e := n.engine
+	if e.cfg.OnSend != nil {
+		e.cfg.OnSend(env.from, to, m)
+	}
+	q := e.dueBucket()
+	*q = append(*q, env)
 }
