@@ -365,11 +365,12 @@ func (n *membershipSys) retryJoins(now int64) {
 	}
 	const retryAfter = 30
 	// startJoin can settle or drop walks synchronously (a local walk ends
-	// in acceptMember), so iterate a snapshot and re-check each entry.
-	keys := append([]string(nil), n.joinOrder...)
-	for _, key := range keys {
-		m, ok := n.joining[key]
+	// in acceptMember): own the keys before it and re-check each entry.
+	keys := lazyKeys{keys: n.joinOrder}
+	for i := 0; i < len(keys.keys); i++ {
+		m, ok := n.joining[keys.keys[i]]
 		if ok && now-m.sentAt >= retryAfter {
+			keys.own()
 			n.startJoin(m)
 		}
 	}

@@ -40,6 +40,8 @@ type repairSys struct {
 	// expectedPeers each round; its id list is valid only until the next
 	// reset and must not be retained.
 	hbScratch *view
+	// vxTargets is viewExchangeRound's reusable target list.
+	vxTargets []sim.NodeID
 }
 
 // handleHeartbeat processes a liveness probe. Leader-mode detection is
@@ -594,7 +596,7 @@ func (n *repairSys) viewExchangeRound() {
 		if n.cfg.Comm == Epidemic {
 			sample = n.mem.memberSample(m)
 		}
-		var targets []sim.NodeID
+		targets := n.vxTargets[:0]
 		adjacent := false // may this node speak for the group tree-wise?
 		// Leader ping: a non-leader member synchronises with its
 		// believed leader — root mirrors every round, regular members
@@ -625,7 +627,7 @@ func (n *repairSys) viewExchangeRound() {
 		}
 		switch n.cfg.Comm {
 		case Epidemic:
-			targets = m.members.sample(n.env.Rand(), 1, n.ID())
+			targets = append(targets, m.members.sample(n.env.Rand(), 1, n.ID())...)
 			// Feed the predecessor fresh contacts for its succview entry,
 			// so cross-group fanout (k') has somewhere to fan to.
 			if p, ok := m.parent.first(); ok {
@@ -677,6 +679,7 @@ func (n *repairSys) viewExchangeRound() {
 				}
 			}
 		}
+		n.vxTargets = targets
 		if len(targets) > 0 {
 			if sample == nil {
 				sample = n.mem.memberSample(m)

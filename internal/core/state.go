@@ -246,12 +246,12 @@ func (s *state) snapshotGroupKeys() []string {
 	return append([]string(nil), s.groupOrder...)
 }
 
-// lazyKeys walks a maintained key order (groupOrder, coverOrder) for a
-// loop that mutates it only when an entry needs repair. It aliases the
-// order until own is called — which the loop must do before its first
-// mutation — and copies it then, so a loop that mutates nothing copies
-// nothing, and one that does walks the same keys a snapshot taken up
-// front would have held.
+// lazyKeys walks a maintained key order (groupOrder, joinOrder,
+// coverOrder) for a loop that mutates it only when an entry needs action.
+// It aliases the order until own is called — which the loop must do
+// before its first mutation — and copies it then, so a loop that mutates
+// nothing copies nothing, and one that does walks the same keys a
+// snapshot taken up front would have held.
 type lazyKeys struct {
 	keys  []string
 	owned bool
