@@ -109,10 +109,11 @@ func BenchmarkNotifyLocal(b *testing.B) {
 	}
 }
 
-// BenchmarkViewExchange measures the settled leader-mode upkeep step: a
-// member handles its leader's unchanged 32-member groupview, which the
-// member reconciles against its own in place.
-func BenchmarkViewExchange(b *testing.B) {
+// settledGroup builds 32 nodes that all subscribe "a>2" and runs the
+// engine until the group has settled, returning the engine, the nodes and
+// the group's key.
+func settledGroup(b *testing.B) (*sim.Engine, []*Node, string) {
+	b.Helper()
 	dir := NewSharedDirectory()
 	eng := sim.NewEngine(sim.Config{Seed: 42})
 	sub, err := filter.ParseSubscription("a>2")
@@ -134,7 +135,14 @@ func BenchmarkViewExchange(b *testing.B) {
 		}
 	}
 	eng.Run(200)
-	key := nodes[0].Memberships()[0]
+	return eng, nodes, nodes[0].Memberships()[0]
+}
+
+// BenchmarkViewExchange measures the settled leader-mode upkeep step: a
+// member handles its leader's unchanged 32-member groupview, which the
+// member reconciles against its own in place.
+func BenchmarkViewExchange(b *testing.B) {
+	_, nodes, key := settledGroup(b)
 	var leader, member *Node
 	for _, node := range nodes {
 		if node.group(key).leader == node.ID() {
@@ -163,5 +171,24 @@ func BenchmarkViewExchange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		member.OnMessage(leader.ID(), msg)
+	}
+}
+
+// BenchmarkSettledTick measures the settled group's whole upkeep: one op
+// runs the engine for one ViewExchangePeriod, so every node ticks through
+// its heartbeat and anti-entropy rounds once and every resulting message
+// is delivered.
+func BenchmarkSettledTick(b *testing.B) {
+	eng, nodes, _ := settledGroup(b)
+	period := int(DefaultConfig().ViewExchangePeriod)
+	eng.Run(period)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Run(period)
+	}
+	b.StopTimer()
+	if eng.AliveCount() != len(nodes) {
+		b.Fatalf("%d of %d nodes alive", eng.AliveCount(), len(nodes))
 	}
 }
