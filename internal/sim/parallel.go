@@ -127,14 +127,14 @@ func (e *Engine) stepParallel(batch []envelope, w int) {
 		go func(shard int) {
 			defer wg.Done()
 			for _, t := range p.deliv[shard] {
-				t.s.env.sink = &bufs[t.unit]
+				t.s.sink = &bufs[t.unit]
 				t.s.proc.OnMessage(t.env.from, t.env.msg)
-				t.s.env.sink = nil
+				t.s.sink = nil
 			}
 			for _, t := range p.ticks[shard] {
-				t.s.env.sink = &bufs[t.unit]
+				t.s.sink = &bufs[t.unit]
 				t.s.proc.OnTick()
-				t.s.env.sink = nil
+				t.s.sink = nil
 			}
 		}(i)
 	}

@@ -134,11 +134,21 @@ type envelope struct {
 	msg      any
 }
 
+// slot is one node's place in the engine, and the Env the engine hands
+// that node: the process attached under the id, whether it is alive, and
+// its private random stream. A restart swaps the process and keeps the
+// slot.
 type slot struct {
-	id    NodeID
-	proc  Process
-	env   *nodeEnv
-	alive bool
+	engine *Engine
+	id     NodeID
+	proc   Process
+	alive  bool
+	rng    *rand.Rand
+	// sink, when non-nil, redirects sends into the parallel executor's
+	// per-unit buffer instead of the global queue. It is set by the worker
+	// that owns this node immediately before invoking the node's handler
+	// and cleared right after, so only one goroutine ever touches it.
+	sink *[]envelope
 }
 
 // Service is a shared component that participates in the engine's step
@@ -288,8 +298,7 @@ func (e *Engine) Add(id NodeID, p Process) error {
 		return fmt.Errorf("sim: node %d already exists", id)
 	}
 	const mix = int64(-0x61C8864680B583EB) // golden-ratio mixer (2^64/phi as int64)
-	s := &slot{id: id, proc: p, alive: true}
-	s.env = &nodeEnv{engine: e, slot: s,
+	s := &slot{engine: e, id: id, proc: p, alive: true,
 		rng: rand.New(rand.NewSource(e.cfg.Seed ^ (int64(id)+1)*mix))}
 	e.slots[id] = s
 	if n := len(e.order); n > 0 && e.order[n-1].id > id {
@@ -297,7 +306,7 @@ func (e *Engine) Add(id NodeID, p Process) error {
 	}
 	e.order = append(e.order, s)
 	e.alive++
-	p.Attach(s.env)
+	p.Attach(s)
 	return nil
 }
 
@@ -329,7 +338,7 @@ func (e *Engine) Restart(id NodeID, p Process) error {
 	s.proc = p
 	s.alive = true
 	e.alive++
-	p.Attach(s.env)
+	p.Attach(s)
 	return nil
 }
 
@@ -366,7 +375,7 @@ func (e *Engine) Process(id NodeID) Process {
 // invoke protocol operations between steps.
 func (e *Engine) Env(id NodeID) Env {
 	if s, ok := e.slots[id]; ok {
-		return s.env
+		return s
 	}
 	return nil
 }
@@ -466,43 +475,31 @@ func (e *Engine) dueBucket() *[]envelope {
 	return &e.queue[(e.step+e.cfg.Latency)%int64(len(e.queue))]
 }
 
-// nodeEnv implements Env for one node of the cycle engine.
-type nodeEnv struct {
-	engine *Engine
-	slot   *slot
-	rng    *rand.Rand
-	// sink, when non-nil, redirects sends into the parallel executor's
-	// per-unit buffer instead of the global queue. It is set by the worker
-	// that owns this node immediately before invoking the node's handler
-	// and cleared right after, so only one goroutine ever touches it.
-	sink *[]envelope
-}
-
-var _ Env = (*nodeEnv)(nil)
+var _ Env = (*slot)(nil)
 
 // ID implements Env.
-func (n *nodeEnv) ID() NodeID { return n.slot.id }
+func (s *slot) ID() NodeID { return s.id }
 
 // Now implements Env.
-func (n *nodeEnv) Now() int64 { return n.engine.step }
+func (s *slot) Now() int64 { return s.engine.step }
 
 // Rand implements Env.
-func (n *nodeEnv) Rand() *rand.Rand { return n.rng }
+func (s *slot) Rand() *rand.Rand { return s.rng }
 
 // Send implements Env.
-func (n *nodeEnv) Send(to NodeID, m any) {
-	env := envelope{from: n.slot.id, to: to, msg: m}
-	if n.sink != nil {
+func (s *slot) Send(to NodeID, m any) {
+	env := envelope{from: s.id, to: to, msg: m}
+	if s.sink != nil {
 		// Mid-step under the parallel executor: the sender is live by
 		// construction (dead nodes are never processed), and the OnSend
 		// hook fires at merge time on the coordinator.
-		*n.sink = append(*n.sink, env)
+		*s.sink = append(*s.sink, env)
 		return
 	}
-	if !n.slot.alive {
+	if !s.alive {
 		return // dead nodes cannot speak
 	}
-	e := n.engine
+	e := s.engine
 	if e.cfg.OnSend != nil {
 		e.cfg.OnSend(env.from, to, m)
 	}

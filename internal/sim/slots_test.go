@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// The engine ticks from a slot slice kept in id order, lets each node's
-// Env send through its own slot, and recycles drained batch buffers.
+// The engine ticks from a slot slice kept in id order, hands each node
+// its slot as its Env, and recycles drained batch buffers.
 // These tests pin what those shortcuts must not change.
 
 // tickOrder runs one step and returns the ids in the order they sent
