@@ -86,11 +86,7 @@ func run() int {
 	ran := false
 	report := benchReport{Seed: *seed, Scale: *scale, Parallel: *parallel}
 	for _, exp := range registry() {
-		if want != exp.name && !(want == "all" && exp.name != "scale" && exp.name != "conform" && exp.name != "throughput") {
-			// "all" covers the paper artefacts; the 50k-node scale run, the
-			// wall-clock-bound cross-engine conformance matrix and the
-			// sustained-throughput measurement are orders of magnitude
-			// heavier (or wall-clock bound) and must be selected explicitly.
+		if !selects(want, exp.name) {
 			continue
 		}
 		ran = true
@@ -121,6 +117,18 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// selects reports whether the -experiment value want runs the named
+// experiment. "all" covers the paper artefacts; the 50k-node scale run,
+// the wall-clock-bound cross-engine conformance matrix and the
+// sustained-throughput measurement are orders of magnitude heavier (or
+// wall-clock bound) and must be selected explicitly.
+func selects(want, name string) bool {
+	if want == "all" {
+		return name != "scale" && name != "conform" && name != "throughput"
+	}
+	return want == name
 }
 
 // benchReport is the -json document: run parameters plus one record per
