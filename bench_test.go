@@ -9,6 +9,7 @@ package dps
 import (
 	"testing"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/experiments"
 	"github.com/dps-overlay/dps/internal/filter"
@@ -91,7 +92,7 @@ func BenchmarkFig3a(b *testing.B) {
 			SubsPerNode:  2,
 			EventEvery:   10,
 			FailureProbs: []float64{0.02, 0.10},
-			Configs: []experiments.ConfigSpec{
+			Configs: []conform.ConfigSpec{
 				{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased},
 				{Name: "epidemic root k = 2", Traversal: core.RootBased, Comm: core.Epidemic, Fanout: 2, CrossFanout: 2},
 			},
@@ -121,7 +122,7 @@ func BenchmarkFig3b(b *testing.B) {
 			FailTo:      600,
 			KillEvery:   8,
 			Window:      100,
-			Configs: []experiments.ConfigSpec{
+			Configs: []conform.ConfigSpec{
 				{Name: "leader generic", Traversal: core.Generic, Comm: core.LeaderBased},
 			},
 		})
@@ -146,7 +147,7 @@ func BenchmarkFig3cd(b *testing.B) {
 			JoinEvery:  4,
 			EventEvery: 10,
 			Window:     100,
-			Configs: []experiments.ConfigSpec{
+			Configs: []conform.ConfigSpec{
 				{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased},
 				{Name: "epidemic root", Traversal: core.RootBased, Comm: core.Epidemic},
 			},
@@ -174,7 +175,7 @@ func BenchmarkFig3ef(b *testing.B) {
 			SubEvery:   150,
 			EventEvery: 10,
 			Window:     100,
-			Configs: []experiments.ConfigSpec{
+			Configs: []conform.ConfigSpec{
 				{Name: "leader", Traversal: core.RootBased, Comm: core.LeaderBased},
 				{Name: "epidemic", Traversal: core.RootBased, Comm: core.Epidemic},
 			},
@@ -202,7 +203,7 @@ func BenchmarkFig3g(b *testing.B) {
 			SubEvery:   150,
 			EventEvery: 10,
 			Window:     100,
-			Configs: []experiments.ConfigSpec{
+			Configs: []conform.ConfigSpec{
 				{Name: "root", Traversal: core.RootBased, Comm: core.LeaderBased},
 				{Name: "generic", Traversal: core.Generic, Comm: core.LeaderBased},
 			},

@@ -164,6 +164,15 @@ func newBenchRecord(name string, elapsed time.Duration, res renderable) benchRec
 // for humans (Render) plus exported fields for -json.
 type renderable interface{ Render() string }
 
+// result adapts an experiment's typed return to the registry's: a
+// failed run must surface as a nil interface, not a typed nil pointer.
+func result[T renderable](res T, err error) (renderable, error) {
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 type experimentEntry struct {
 	name string
 	run  func(seed int64, scale float64, parallel int) (renderable, error)
@@ -176,11 +185,7 @@ func registry() []experimentEntry {
 			opts.Seed = seed
 			opts.Nodes = scaleInt(opts.Nodes, scale, 50)
 			opts.Events = scaleInt(opts.Events, scale, 50)
-			res, err := experiments.RunTable1(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(experiments.RunTable1(opts))
 		}},
 		{"table1-protocol", func(seed int64, scale float64, parallel int) (renderable, error) {
 			opts := experiments.DefaultTable1Options()
@@ -191,11 +196,7 @@ func registry() []experimentEntry {
 			// default to a tenth of paper scale at scale 1.
 			opts.Nodes = scaleInt(opts.Nodes, scale*0.1, 50)
 			opts.Events = scaleInt(opts.Events, scale*0.1, 50)
-			res, err := experiments.RunTable1(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(experiments.RunTable1(opts))
 		}},
 		{"fig3a", func(seed int64, scale float64, parallel int) (renderable, error) {
 			opts := experiments.DefaultFig3aOptions()
@@ -203,11 +204,7 @@ func registry() []experimentEntry {
 			opts.Parallelism = parallel
 			opts.Nodes = scaleInt(opts.Nodes, scale, 40)
 			opts.Steps = scaleInt(opts.Steps, scale, 400)
-			res, err := experiments.RunFig3a(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(experiments.RunFig3a(opts))
 		}},
 		{"fig3b", func(seed int64, scale float64, parallel int) (renderable, error) {
 			opts := experiments.DefaultFig3bOptions()
@@ -217,11 +214,7 @@ func registry() []experimentEntry {
 			opts.Steps = scaleInt(opts.Steps, scale, 600)
 			opts.FailFrom = opts.Steps / 3
 			opts.FailTo = 2 * opts.Steps / 3
-			res, err := experiments.RunFig3b(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(experiments.RunFig3b(opts))
 		}},
 		{"fig3c", runFig3cd}, {"fig3d", runFig3cd},
 		{"fig3e", runFig3ef}, {"fig3f", runFig3ef},
@@ -232,12 +225,8 @@ func registry() []experimentEntry {
 			opts.Nodes = scaleInt(opts.Nodes, scale, 40)
 			opts.Steps = scaleInt(opts.Steps, scale, 300)
 			opts.SubEvery = scaleInt(opts.SubEvery, scale, 50)
-			res, err := experiments.RunLoadComparison(
-				"Figure 3(g) — Root-based vs generic traversal (leader communication)", opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(experiments.RunLoadComparison(
+				"Figure 3(g) — Root-based vs generic traversal (leader communication)", opts))
 		}},
 		{"latency", func(seed int64, scale float64, parallel int) (renderable, error) {
 			opts := experiments.DefaultLatencyOptions()
@@ -245,11 +234,7 @@ func registry() []experimentEntry {
 			opts.Parallelism = parallel
 			opts.Nodes = scaleInt(opts.Nodes, scale, 60)
 			opts.Events = scaleInt(opts.Events, scale, 40)
-			res, err := experiments.RunLatency(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(experiments.RunLatency(opts))
 		}},
 		{"ablations", func(seed int64, scale float64, parallel int) (renderable, error) {
 			opts := experiments.DefaultAblationOptions()
@@ -257,25 +242,13 @@ func registry() []experimentEntry {
 			opts.Parallelism = parallel
 			opts.Nodes = scaleInt(opts.Nodes, scale, 60)
 			opts.Steps = scaleInt(opts.Steps, scale, 300)
-			res, err := experiments.RunAblations(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(experiments.RunAblations(opts))
 		}},
 		{"analysis", func(seed int64, scale float64, parallel int) (renderable, error) {
-			res, err := experiments.RunAnalysis(experiments.DefaultAnalysisOptions())
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(experiments.RunAnalysis(experiments.DefaultAnalysisOptions()))
 		}},
 		{"chaos", func(seed int64, scale float64, parallel int) (renderable, error) {
-			res, err := conform.Run(chaosOptions(seed, scale, parallel))
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(conform.Run(chaosOptions(seed, scale, parallel)))
 		}},
 		{"chaos-corruption", func(seed int64, scale float64, parallel int) (renderable, error) {
 			opts := chaosOptions(seed, scale, parallel)
@@ -283,22 +256,14 @@ func registry() []experimentEntry {
 			// experiment covers the whole suite, this line isolates the
 			// bounded-repair machinery for the regression guard.
 			opts.Scenarios = []string{"corruption", "byzantine-state"}
-			res, err := conform.Run(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(conform.Run(opts))
 		}},
 		{"conform", func(seed int64, scale float64, parallel int) (renderable, error) {
 			opts := conform.DefaultOptions()
 			opts.Seed = seed
 			opts.Workers = parallel
 			opts.Nodes = scaleInt(opts.Nodes, scale, 12)
-			res, err := conform.Run(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(conform.Run(opts))
 		}},
 		{"throughput", func(seed int64, scale float64, parallel int) (renderable, error) {
 			opts := conform.DefaultThroughputOptions()
@@ -312,11 +277,7 @@ func registry() []experimentEntry {
 			opts.Events = scaleInt(12000, scale, 400)
 			opts.Burst = scaleInt(1200, scale, 40)
 			opts.TickEvery = 8 * time.Millisecond
-			res, err := conform.RunThroughput(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(conform.RunThroughput(opts))
 		}},
 		{"scale", func(seed int64, scale float64, parallel int) (renderable, error) {
 			opts := experiments.DefaultScaleOptions()
@@ -328,11 +289,7 @@ func registry() []experimentEntry {
 				// sequential executor.
 				opts.Parallelism = parallel
 			}
-			res, err := experiments.RunScale(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return result(experiments.RunScale(opts))
 		}},
 	}
 }
@@ -343,11 +300,7 @@ func runFig3cd(seed int64, scale float64, parallel int) (renderable, error) {
 	opts.Parallelism = parallel
 	opts.Nodes = scaleInt(opts.Nodes, scale, 40)
 	opts.Steps = scaleInt(opts.Steps, scale, 500)
-	res, err := experiments.RunFig3cd(opts)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return result(experiments.RunFig3cd(opts))
 }
 
 func runFig3ef(seed int64, scale float64, parallel int) (renderable, error) {
@@ -357,12 +310,8 @@ func runFig3ef(seed int64, scale float64, parallel int) (renderable, error) {
 	opts.Nodes = scaleInt(opts.Nodes, scale, 40)
 	opts.Steps = scaleInt(opts.Steps, scale, 300)
 	opts.SubEvery = scaleInt(opts.SubEvery, scale, 50)
-	res, err := experiments.RunLoadComparison(
-		"Figures 3(e)/(f) — Leader vs epidemic communication (root traversal)", opts)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return result(experiments.RunLoadComparison(
+		"Figures 3(e)/(f) — Leader vs epidemic communication (root traversal)", opts))
 }
 
 func scaleInt(v int, scale float64, floor int) int {

@@ -50,7 +50,6 @@ import (
 	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/experiments"
 	"github.com/dps-overlay/dps/internal/metrics"
 	"github.com/dps-overlay/dps/internal/workload"
 )
@@ -85,7 +84,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "dps-sim:", err)
 		return 2
 	}
-	cfgSpec := experiments.ConfigSpec{
+	cfgSpec := conform.ConfigSpec{
 		Name:        *traversal + "-" + *comm,
 		Fanout:      *fanout,
 		CrossFanout: *crossFanout,
@@ -138,12 +137,14 @@ func run() int {
 			*seed, *parallel, *tick, *asJSON)
 	}
 
-	c := experiments.NewClusterParallel(cfgSpec, *seed, *parallel)
-	gen := workload.MustGenerator(spec, *seed)
+	e := conform.NewSimEngine(cfgSpec, *seed, *parallel, workload.MustGenerator(spec, *seed), *subs, nil)
 	fmt.Printf("building overlay: %d nodes × %d subscriptions (%s, %d workers)\n",
-		*nodes, *subs, spec.Name, c.Engine.Workers())
-	c.SubscribePopulation(*nodes, *subs, 25, gen)
-	fmt.Printf("forest: %d trees, %d groups\n", c.Oracle.Trees(), c.Oracle.Groups())
+		*nodes, *subs, spec.Name, e.Workers())
+	if err := e.Bootstrap(*nodes, 25); err != nil {
+		fmt.Fprintln(os.Stderr, "dps-sim:", err)
+		return 1
+	}
+	fmt.Printf("forest: %d trees, %d groups\n", e.Oracle().Trees(), e.Oracle().Groups())
 
 	rng := rand.New(rand.NewSource(*seed ^ 0x51e))
 	killEvery := 0
@@ -153,28 +154,29 @@ func run() int {
 			killEvery = 1
 		}
 	}
-	snap := c.Registry.Snapshot()
+	snap := e.Traffic().Snapshot()
 	events := 0
 	for step := 1; step <= *steps; step++ {
 		if step%*eventEvery == 0 {
-			c.PublishTracked(gen.Event(), rng.Int63())
+			e.PublishTracked(rng)
 			events++
 		}
-		if killEvery > 0 && step%killEvery == 0 && c.Engine.AliveCount() > 2 {
-			c.KillRandomAlive(rng.Int63())
+		if killEvery > 0 && step%killEvery == 0 && e.AliveCount() > 2 {
+			alive := e.AliveIDs()
+			e.Kill(alive[rng.Int63()%int64(len(alive))])
 		}
-		c.Engine.Step()
+		e.Run(1)
 	}
-	c.Engine.Run(80)
+	e.Run(80)
 
-	deltas := c.Registry.DeltaSince(snap)
-	ids := c.AliveInt64s()
+	deltas := e.Traffic().DeltaSince(snap)
+	ids := e.AliveIDs()
 	outs := metrics.Collect(ids, deltas, metrics.Counts.OutTotal)
 	ins := metrics.Collect(ids, deltas, metrics.Counts.InTotal)
 	fmt.Printf("\nconfig            %s\n", cfgSpec.Name)
 	fmt.Printf("events published  %d\n", events)
-	fmt.Printf("delivery ratio    %.4f\n", c.Tracker.Ratio())
-	fmt.Printf("survivors         %d / %d\n", c.Engine.AliveCount(), *nodes)
+	fmt.Printf("delivery ratio    %.4f\n", e.Ratio())
+	fmt.Printf("survivors         %d / %d\n", e.AliveCount(), *nodes)
 	fmt.Printf("msgs out          median %.1f   max %d   (per node, whole run)\n",
 		metrics.Median(outs), metrics.Max(outs))
 	fmt.Printf("msgs in           median %.1f   max %d\n",
@@ -191,7 +193,7 @@ func run() int {
 // passing. A zero nodes or subs keeps the harness's own CI-sized default.
 // The preset timelines replace -steps/-failure; -workload is fixed to the
 // suite's default.
-func runScenario(scenario, engine string, cfgSpec experiments.ConfigSpec, nodes, subs, eventEvery int,
+func runScenario(scenario, engine string, cfgSpec conform.ConfigSpec, nodes, subs, eventEvery int,
 	seed int64, parallel int, tick time.Duration, asJSON bool) int {
 	opts := conform.DefaultOptions()
 	opts.Config = cfgSpec

@@ -2,7 +2,9 @@
 // harness: it replays the scripted chaos scenarios of internal/chaos —
 // crash bursts, same-identity restarts, partitions, loss windows, churn,
 // structural corruption — against any of the three DPS engines and
-// judges them with one oracle. Run with Engines: []string{"sim"} is the
+// judges them with one oracle. Its Engine is also the substrate every
+// paper experiment of internal/experiments runs on (NewSimEngine), so
+// the figures come from the same runs the checker can judge. Run with Engines: []string{"sim"} is the
 // cycle-engine chaos suite; selecting a live engine adds it alongside
 // the sim reference and arms the differential oracle. Options.Config
 // picks the protocol variant every engine runs, and Options.Custom adds
@@ -58,8 +60,29 @@ import (
 
 	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/experiments"
 )
+
+// ConfigSpec names one DPS implementation variant under test, matching
+// the labels of the paper's plots (e.g. "epidemic root k = 2").
+type ConfigSpec struct {
+	Name        string
+	Traversal   core.TraversalMode
+	Comm        core.CommMode
+	Fanout      int // epidemic k; 0 keeps the default
+	CrossFanout int // epidemic k'; 0 keeps the default
+}
+
+// Apply mutates a node config according to the spec.
+func (s ConfigSpec) Apply(cfg *core.Config) {
+	cfg.Traversal = s.Traversal
+	cfg.Comm = s.Comm
+	if s.Fanout > 0 {
+		cfg.Fanout = s.Fanout
+	}
+	if s.CrossFanout > 0 {
+		cfg.CrossFanout = s.CrossFanout
+	}
+}
 
 // EngineStats are the per-engine drop counters reported with each run.
 type EngineStats struct {
@@ -107,7 +130,7 @@ type Options struct {
 	// Config is the protocol variant every engine runs; the zero value
 	// is the paper's default (root-based traversal, leader
 	// communication).
-	Config experiments.ConfigSpec `json:"config"`
+	Config ConfigSpec `json:"config"`
 	// Engines names the engines to run; empty runs all three. The sim
 	// reference always runs (the differential oracle needs it) and is
 	// reported even when not requested.
@@ -147,7 +170,7 @@ func DefaultOptions() Options {
 		TickEvery:     2 * time.Millisecond,
 		ConvergeSlack: 3,
 		LossMargin:    0.12,
-		Config:        experiments.ConfigSpec{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased},
+		Config:        ConfigSpec{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased},
 	}
 }
 
@@ -175,18 +198,8 @@ func (o Options) withDefaults() Options {
 	if len(o.Engines) == 0 {
 		o.Engines = EngineNames()
 	}
-	if o.Config == (experiments.ConfigSpec{}) {
+	if o.Config == (ConfigSpec{}) {
 		o.Config = d.Config
 	}
 	return o
-}
-
-// nodeConfig is the node configuration every conformance engine builds:
-// the protocol variant under test over the runtime's directory, so
-// cross-engine differences isolate the runtime, not the protocol.
-func nodeConfig(spec experiments.ConfigSpec, dir core.Directory) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Directory = dir
-	spec.Apply(&cfg)
-	return cfg
 }

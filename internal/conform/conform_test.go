@@ -7,7 +7,6 @@ import (
 
 	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/experiments"
 	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/livenet"
 	"github.com/dps-overlay/dps/internal/sim"
@@ -225,7 +224,7 @@ func fakeRun(engine string, ratio float64, expected map[core.EventID][]sim.NodeI
 	}
 	for ev, ids := range delivered {
 		for _, id := range ids {
-			rec.deliver(ev, id)
+			rec.deliver(ev, id, 0)
 		}
 	}
 	return &EngineRun{Engine: engine, DeliveryRatio: ratio, rec: rec}
@@ -313,9 +312,9 @@ func TestRecorderFalseDeliveryDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 1 matches and is alive; node 2 never matched.
-	rec.publish(1, ev, []sim.NodeID{1, 2})
-	rec.deliver(1, 1)
-	rec.deliver(1, 2)
+	rec.publish(1, ev, func(sim.NodeID) bool { return true }, 0)
+	rec.deliver(1, 1, 0)
+	rec.deliver(1, 2, 0)
 	events, expectedPairs, deliveredPairs, falseDeliveries := rec.deliverySummary()
 	if events != 1 || expectedPairs != 1 || deliveredPairs != 1 || falseDeliveries != 1 {
 		t.Errorf("summary = %d events, %d expected, %d delivered, %d false; want 1, 1, 1, 1",
@@ -333,10 +332,8 @@ func TestEngineContractParity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.TickEvery = time.Millisecond
-			gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-			pop := newPopulation(gen, 1)
-			rec := newRecorder()
-			e, err := newEngine(name, opts, pop, rec)
+			opts.SubsPerNode = 1
+			e, err := newEngine(name, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -388,7 +385,7 @@ func TestEngineContractParity(t *testing.T) {
 				t.Errorf("join id = %d, want 3", j)
 			}
 			e.Leave(j)
-			if len(pop.durable(j)) != 0 {
+			if len(e.pop.durable(j)) != 0 {
 				t.Error("leave kept durable subscriptions")
 			}
 		})
@@ -400,15 +397,14 @@ func TestEngineContractParity(t *testing.T) {
 // subscriptions cover on a leader-mode node and leave an epidemic node's
 // covering table empty (epidemic nodes never cover).
 func TestVariantReachesEveryRuntime(t *testing.T) {
-	epidemic := experiments.ConfigSpec{Name: "epidemic root", Traversal: core.RootBased, Comm: core.Epidemic}
+	epidemic := ConfigSpec{Name: "epidemic root", Traversal: core.RootBased, Comm: core.Epidemic}
 	for _, name := range EngineNames() {
-		for _, spec := range []experiments.ConfigSpec{DefaultOptions().Config, epidemic} {
+		for _, spec := range []ConfigSpec{DefaultOptions().Config, epidemic} {
 			t.Run(name+"/"+spec.Name, func(t *testing.T) {
 				opts := DefaultOptions()
 				opts.TickEvery = time.Millisecond
 				opts.Config = spec
-				gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-				e, err := newEngine(name, opts, newPopulation(gen, 1), newRecorder())
+				e, err := newEngine(name, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -427,7 +423,7 @@ func TestVariantReachesEveryRuntime(t *testing.T) {
 				}
 				e.AwaitStep(e.Now() + 100)
 				covered := 0
-				if err := e.do(1, func(n *core.Node) { covered = len(n.CoverTable()) }); err != nil {
+				if err := e.Do(1, func(n *core.Node) { covered = len(n.CoverTable()) }); err != nil {
 					t.Fatal(err)
 				}
 				switch {

@@ -2,19 +2,24 @@ package conform
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/experiments"
 	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/livenet"
+	"github.com/dps-overlay/dps/internal/metrics"
+	"github.com/dps-overlay/dps/internal/semtree"
 	"github.com/dps-overlay/dps/internal/sim"
+	"github.com/dps-overlay/dps/internal/workload"
 )
 
-// Engine is the one conformance engine: the population bookkeeping, the
-// delivery recorder and the node table over one of three runtimes — the
-// cycle simulator (the reference), the livenet goroutine hub, or a
-// tcpnet deployment on loopback. Every protocol-facing method (adding,
+// Engine is the one engine every DPS run drives — the chaos and
+// conformance runs here and the paper experiments of
+// internal/experiments: the population bookkeeping, the delivery
+// recorder and the node table over one of three runtimes — the cycle
+// simulator (the reference), the livenet goroutine hub, or a tcpnet
+// deployment on loopback. Every protocol-facing method (adding,
 // subscribing, publishing, restarting, joining, leaving, snapshotting,
 // corrupting) is implemented here once; the runtime supplies only what
 // differs between them: hosting a node under an id, reaching it (a
@@ -27,11 +32,15 @@ import (
 type Engine struct {
 	runtime
 
-	name  string // "sim", "live" or "tcp", for error messages
-	spec  experiments.ConfigSpec
-	pop   *population
-	rec   *recorder
-	nodes map[sim.NodeID]hosted
+	name   string // "sim", "live" or "tcp", for error messages
+	spec   ConfigSpec
+	mutate func(*core.Config) // adjusts each node's config after spec (ablations); may be nil
+	pop    *population
+	rec    *recorder
+	nodes  map[sim.NodeID]hosted
+	// lastEvent is the id PublishTracked last allocated; ids are
+	// sequential from 1.
+	lastEvent core.EventID
 	// retiredDrops accumulates the inbox-drop counters of incarnations a
 	// restart replaced, so Stats covers the whole run, not just the
 	// incarnations in the table at collection time.
@@ -88,12 +97,13 @@ type hosted struct {
 	h    handle
 }
 
-// newEngine builds the named engine over fresh population bookkeeping.
-func newEngine(name string, opts Options, pop *population, rec *recorder) (*Engine, error) {
+// newEngine builds the named engine over fresh population bookkeeping:
+// Workload 2 at the options' seed, SubsPerNode subscriptions per node.
+func newEngine(name string, opts Options) (*Engine, error) {
 	var rt runtime
 	switch name {
 	case EngineSim:
-		rt = newSimRuntime(opts)
+		rt = newSimRuntime(opts.Seed, opts.Workers)
 	case EngineLive:
 		rt = newLiveRuntime(livenet.Config{TickEvery: opts.TickEvery, Seed: opts.Seed})
 	case EngineTCP:
@@ -105,13 +115,26 @@ func newEngine(name string, opts Options, pop *population, rec *recorder) (*Engi
 	default:
 		return nil, fmt.Errorf("conform: unknown engine %q", name)
 	}
-	return engineOn(name, rt, opts.Config, pop, rec), nil
+	pop := newPopulation(workload.MustGenerator(workload.Workload2(), opts.Seed), opts.SubsPerNode)
+	return engineOn(name, rt, opts.Config, pop, newRecorder()), nil
 }
 
 // engineOn wraps a runtime in the engine; its nodes run the spec's
 // protocol variant.
-func engineOn(name string, rt runtime, spec experiments.ConfigSpec, pop *population, rec *recorder) *Engine {
+func engineOn(name string, rt runtime, spec ConfigSpec, pop *population, rec *recorder) *Engine {
 	return &Engine{runtime: rt, name: name, spec: spec, pop: pop, rec: rec, nodes: make(map[sim.NodeID]hosted)}
+}
+
+// NewSimEngine builds an engine over the cycle simulator for the paper
+// experiments: seeded by seed, stepping on workers (0/1 sequential, W > 1
+// parallel on W workers, negative one per CPU — results are
+// bit-identical either way), its nodes running spec adjusted by mutate
+// (nil for none). Bootstrap and Join draw perNode subscriptions per node
+// from gen, and PublishTracked draws its events from it.
+func NewSimEngine(spec ConfigSpec, seed int64, workers int, gen *workload.Generator, perNode int, mutate func(*core.Config)) *Engine {
+	e := engineOn(EngineSim, newSimRuntime(seed, workers), spec, newPopulation(gen, perNode), newRecorder())
+	e.mutate = mutate
+	return e
 }
 
 // AwaitStep blocks until the logical clock reaches step: it drives the
@@ -122,16 +145,26 @@ func (e *Engine) AwaitStep(step int64) {
 	}
 }
 
+// Run lets steps logical steps pass (see AwaitStep).
+func (e *Engine) Run(steps int64) { e.AwaitStep(e.Now() + steps) }
+
 // newNode builds a protocol node of the engine's variant over dir,
 // filtered by the runtime's liveness view and wired to the recorder's
-// delivery hook.
+// delivery hook. Every engine's nodes run the same configuration, so
+// cross-engine differences isolate the runtime, not the protocol.
 func (e *Engine) newNode(dir core.Directory) *core.Node {
-	node, err := core.NewNode(nodeConfig(e.spec, core.LiveDirectory{Directory: dir, Alive: e.Alive}))
+	cfg := core.DefaultConfig()
+	cfg.Directory = core.LiveDirectory{Directory: dir, Alive: e.Alive}
+	e.spec.Apply(&cfg)
+	if e.mutate != nil {
+		e.mutate(&cfg)
+	}
+	node, err := core.NewNode(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config
 	}
 	node.OnDeliverHook(func(ev core.EventID, _ filter.Event) {
-		e.rec.deliver(ev, node.ID())
+		e.rec.deliver(ev, node.ID(), e.Now())
 	})
 	return node
 }
@@ -154,8 +187,9 @@ func (e *Engine) attach(id sim.NodeID) {
 	e.nodes[id] = n
 }
 
-// do runs fn against the node under id on the node's own goroutine.
-func (e *Engine) do(id sim.NodeID, fn func(*core.Node)) error {
+// Do runs fn against the node under id on the node's own goroutine and
+// waits for it.
+func (e *Engine) Do(id sim.NodeID, fn func(*core.Node)) error {
 	n, ok := e.nodes[id]
 	if !ok {
 		return fmt.Errorf("conform: no node %d", id)
@@ -177,7 +211,7 @@ func (e *Engine) AddNode() sim.NodeID {
 // durable: a later Restart of the identity re-issues it.
 func (e *Engine) Subscribe(id sim.NodeID, sub filter.Subscription) error {
 	var subErr error
-	if err := e.do(id, func(n *core.Node) { subErr = n.Subscribe(sub) }); err != nil {
+	if err := e.Do(id, func(n *core.Node) { subErr = n.Subscribe(sub) }); err != nil {
 		return err
 	}
 	if subErr != nil {
@@ -190,6 +224,84 @@ func (e *Engine) Subscribe(id sim.NodeID, sub filter.Subscription) error {
 	return nil
 }
 
+// Bootstrap deploys an initial population of nodes fresh nodes, each
+// with the population's per-node subscription count, in two waves: the
+// first subscription of each distinct filter goes out in a creators wave
+// (every group created exactly once), the rest join settled groups — the
+// paper's setup phase ("we first issued 10,000 subscriptions to build the
+// overlay"). Each wave feeds batch subscriptions per step; the overlay
+// settles 25 steps before the join wave and 120 after it, for joins,
+// co-leader announcements and adoption. Subscriptions racing during
+// measured phases still exercise the runtime merge machinery.
+func (e *Engine) Bootstrap(nodes, batch int) error {
+	type job struct {
+		id  sim.NodeID
+		sub filter.Subscription
+	}
+	var creators, joiners []job
+	seen := make(map[string]bool, nodes)
+	for i := 0; i < nodes; i++ {
+		id := e.AddNode()
+		for s := 0; s < e.pop.perNode; s++ {
+			sub := e.pop.gen.Subscription()
+			filters, err := filter.SubscriptionFilters(sub)
+			if err != nil {
+				return fmt.Errorf("conform: generator produced an unsatisfiable subscription: %w", err)
+			}
+			if key := filters[0].Key(); seen[key] {
+				joiners = append(joiners, job{id, sub})
+			} else {
+				seen[key] = true
+				creators = append(creators, job{id, sub})
+			}
+		}
+	}
+	feed := func(jobs []job) error {
+		for len(jobs) > 0 {
+			k := min(batch, len(jobs))
+			for _, j := range jobs[:k] {
+				if err := e.Subscribe(j.id, j.sub); err != nil {
+					return fmt.Errorf("conform: %s bootstrap subscribe: %w", e.name, err)
+				}
+			}
+			jobs = jobs[k:]
+			e.Run(1)
+		}
+		return nil
+	}
+	if err := feed(creators); err != nil {
+		return err
+	}
+	e.Run(25)
+	if err := feed(joiners); err != nil {
+		return err
+	}
+	e.Run(120)
+	return nil
+}
+
+// PublishTracked publishes the population generator's next event from a
+// live publisher drawn from rng, under the next event id, registering
+// its expected recipients with the recorder, and returns the id. The
+// draw is consumed even when no publisher exists, keeping the random
+// stream aligned across engines.
+func (e *Engine) PublishTracked(rng *rand.Rand) core.EventID {
+	e.lastEvent++
+	ev := e.lastEvent
+	event := e.pop.gen.Event()
+	draw := rng.Int63()
+	alive := e.AliveIDs()
+	if len(alive) == 0 {
+		return ev
+	}
+	e.rec.publish(ev, event, e.Alive, e.Now())
+	// An error means the publisher crashed between the draw and the call
+	// (possible only through engine teardown races); the event stays
+	// tracked with zero deliveries.
+	_ = e.Publish(alive[draw%int64(len(alive))], ev, event)
+	return ev
+}
+
 // Publish injects a tracked event at a node.
 func (e *Engine) Publish(id sim.NodeID, ev core.EventID, event filter.Event) error {
 	return e.PublishMany(id, []core.EventID{ev}, []filter.Event{event})
@@ -200,7 +312,7 @@ func (e *Engine) Publish(id sim.NodeID, ev core.EventID, event filter.Event) err
 // and events are parallel.
 func (e *Engine) PublishMany(id sim.NodeID, evs []core.EventID, events []filter.Event) error {
 	var pubErr error
-	if err := e.do(id, func(n *core.Node) {
+	if err := e.Do(id, func(n *core.Node) {
 		for i := range evs {
 			if pubErr = n.Publish(evs[i], events[i]); pubErr != nil {
 				return
@@ -217,7 +329,7 @@ func (e *Engine) PublishMany(id sim.NodeID, evs []core.EventID, events []filter.
 func (e *Engine) Restart(id sim.NodeID) {
 	e.attach(id)
 	subs := e.pop.durable(id)
-	if err := e.do(id, func(n *core.Node) {
+	if err := e.Do(id, func(n *core.Node) {
 		for _, sub := range subs {
 			if err := n.Subscribe(sub); err != nil {
 				panic(fmt.Sprintf("conform: re-subscribe after restart: %v", err))
@@ -247,7 +359,7 @@ func (e *Engine) Leave(id sim.NodeID) {
 		return
 	}
 	subs := e.pop.forget(id)
-	if err := e.do(id, func(n *core.Node) {
+	if err := e.Do(id, func(n *core.Node) {
 		for _, sub := range subs {
 			if err := n.Unsubscribe(sub); err != nil {
 				panic(fmt.Sprintf("conform: unsubscribe on leave: %v", err))
@@ -268,7 +380,7 @@ func (e *Engine) StructuralSnapshot(id sim.NodeID) []core.MembershipSnapshot {
 		return nil
 	}
 	var snaps []core.MembershipSnapshot
-	if err := e.do(id, func(n *core.Node) { snaps = n.StructuralSnapshot() }); err != nil {
+	if err := e.Do(id, func(n *core.Node) { snaps = n.StructuralSnapshot() }); err != nil {
 		return nil
 	}
 	return snaps
@@ -283,7 +395,7 @@ func (e *Engine) Corrupt(id sim.NodeID, op core.CorruptionOp) bool {
 		return false
 	}
 	var ok bool
-	if err := e.do(id, func(n *core.Node) { ok = n.ApplyCorruption(op) }); err != nil {
+	if err := e.Do(id, func(n *core.Node) { ok = n.ApplyCorruption(op) }); err != nil {
 		return false
 	}
 	return ok
@@ -299,3 +411,67 @@ func (e *Engine) Stats() EngineStats {
 	loss, partition := e.DroppedFaults()
 	return EngineStats{InboxDropped: inbox, FaultLoss: loss, FaultPartition: partition}
 }
+
+// Ratio is the paper's dependability metric: the fraction of (event,
+// live matching subscriber) pairs notified, over every tracked event; 1
+// when nothing was expected.
+func (e *Engine) Ratio() float64 { return e.rec.ratio() }
+
+// WindowRatio restricts Ratio to the events published in steps
+// [from, to).
+func (e *Engine) WindowRatio(from, to int64) float64 { return e.rec.windowRatio(from, to) }
+
+// Latencies returns the publish-to-first-delivery steps of every
+// delivered expected pair, ascending.
+func (e *Engine) Latencies() []int64 { return e.rec.latencies() }
+
+// Expected returns the ascending ids of the live matching subscribers a
+// tracked event was published to.
+func (e *Engine) Expected(ev core.EventID) []sim.NodeID { return sortedIDs(e.rec.expected[ev]) }
+
+// Delivered returns the ascending ids of every node notified of an
+// event, expected or not.
+func (e *Engine) Delivered(ev core.EventID) []sim.NodeID { return sortedIDs(e.rec.deliveredFor(ev)) }
+
+// Repeats counts the notifications of an (event, node) pair already
+// notified: a node must deliver each event once.
+func (e *Engine) Repeats() int { return e.rec.repeats() }
+
+// Oracle is the forest mirroring every subscription the engine's nodes
+// hold (read it between steps).
+func (e *Engine) Oracle() *semtree.Forest { return e.rec.oracle }
+
+// RoutingBytesPerNode averages core.Node.RoutingStateBytes over the live
+// population — the routing-table size metric of the scale experiment.
+func (e *Engine) RoutingBytesPerNode() float64 {
+	ids := e.AliveIDs()
+	if len(ids) == 0 {
+		return 0
+	}
+	var total int64
+	for _, id := range ids {
+		_ = e.Do(id, func(n *core.Node) { total += n.RoutingStateBytes() })
+	}
+	return float64(total) / float64(len(ids))
+}
+
+// The figure readers below exist on the cycle engine only; off it they
+// panic. Read them between steps.
+
+// cycle returns the engine's cycle-simulator runtime.
+func (e *Engine) cycle() *simRuntime { return e.runtime.(*simRuntime) }
+
+// Workers reports the cycle engine's resolved worker count.
+func (e *Engine) Workers() int { return e.cycle().Workers() }
+
+// Traffic is the per-node message counter by kind, fed by every send
+// and delivery.
+func (e *Engine) Traffic() *metrics.Registry { return e.cycle().traffic }
+
+// TreeForwards returns the cumulative inter-group tree-hop count (see
+// core.TreeForwards).
+func (e *Engine) TreeForwards() int64 { return e.cycle().treeForwards }
+
+// Contacted returns how many nodes handled the event: Table 1's
+// contacted set.
+func (e *Engine) Contacted(ev core.EventID) int { return e.cycle().contactedCount(ev) }

@@ -1,7 +1,7 @@
 package conform
 
 import (
-	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -13,12 +13,6 @@ import (
 	"github.com/dps-overlay/dps/internal/workload"
 )
 
-// recorder is the per-run delivery oracle: it mirrors every subscription
-// in a semtree forest (the same ground-truth oracle the paper experiments
-// use), registers each tracked event's expected recipients at publish
-// time, and logs every delivery hook firing. Hook callbacks arrive on
-// peer/transport goroutines for live engines, so the log is
-// mutex-guarded; everything else is runner-goroutine only.
 // deliverShards spreads the delivery log across independently locked
 // shards (by recipient id): under a publish storm every node goroutine
 // fires delivery hooks back-to-back as each drained burst of events is
@@ -28,8 +22,10 @@ const deliverShards = 16
 
 // deliverShard is one lock's worth of delivery log.
 type deliverShard struct {
-	mu        sync.Mutex
-	delivered map[core.EventID]map[sim.NodeID]bool
+	mu sync.Mutex
+	// delivered maps each (event, node) pair to the step of its first
+	// delivery.
+	delivered map[core.EventID]map[sim.NodeID]int64
 
 	// Wall-clock latency accounting for the throughput experiment:
 	// one sample per (event, node) first delivery of a stamped event.
@@ -38,8 +34,19 @@ type deliverShard struct {
 	deliverAt   []time.Time // arrival-ordered wall-times of stamped pairs
 	lastDeliver time.Time
 	pairCount   int
+	// repeats counts deliveries of a pair already delivered.
+	repeats int
 }
 
+// recorder is the per-run delivery oracle of every engine run, chaos
+// and paper figure alike: it mirrors every subscription in a semtree
+// forest, registers each tracked event's expected recipients and publish
+// step at publish time, and logs the step of every pair's first
+// delivery. From those it answers the delivery ratio (overall and per
+// publish window), the publish-to-delivery step latencies, and the
+// differential oracle's delivered sets. Hook callbacks arrive on engine
+// workers and peer/transport goroutines, so the log is mutex-guarded;
+// everything else is runner-goroutine only.
 type recorder struct {
 	oracle *semtree.Forest
 
@@ -51,6 +58,7 @@ type recorder struct {
 	pubAt map[core.EventID]time.Time
 
 	order    []core.EventID
+	pubStep  map[core.EventID]int64
 	expected map[core.EventID]map[sim.NodeID]bool
 	matching map[core.EventID]map[sim.NodeID]bool
 }
@@ -59,11 +67,12 @@ func newRecorder() *recorder {
 	r := &recorder{
 		oracle:   semtree.New(),
 		pubAt:    make(map[core.EventID]time.Time),
+		pubStep:  make(map[core.EventID]int64),
 		expected: make(map[core.EventID]map[sim.NodeID]bool),
 		matching: make(map[core.EventID]map[sim.NodeID]bool),
 	}
 	for i := range r.shards {
-		r.shards[i].delivered = make(map[core.EventID]map[sim.NodeID]bool)
+		r.shards[i].delivered = make(map[core.EventID]map[sim.NodeID]int64)
 	}
 	return r
 }
@@ -88,38 +97,40 @@ func (r *recorder) leave(id sim.NodeID) {
 	r.oracle.RemoveMember(semtree.MemberID(id))
 }
 
-// publish registers a tracked event: matching is the oracle's
-// ground-truth member set, expected its restriction to nodes alive now.
-func (r *recorder) publish(ev core.EventID, event filter.Event, alive []sim.NodeID) {
-	liveSet := make(map[sim.NodeID]bool, len(alive))
-	for _, id := range alive {
-		liveSet[id] = true
-	}
+// publish registers a tracked event published at step: matching is the
+// oracle's ground-truth member set, expected its restriction to the
+// nodes alive now.
+func (r *recorder) publish(ev core.EventID, event filter.Event, alive func(sim.NodeID) bool, step int64) {
 	match := make(map[sim.NodeID]bool)
 	exp := make(map[sim.NodeID]bool)
 	for m := range r.oracle.MatchingMembers(event) {
 		id := sim.NodeID(m)
 		match[id] = true
-		if liveSet[id] {
+		if alive(id) {
 			exp[id] = true
 		}
 	}
 	r.order = append(r.order, ev)
+	r.pubStep[ev] = step
 	r.matching[ev] = match
 	r.expected[ev] = exp
 }
 
-// deliver logs one delivery hook firing (any goroutine).
-func (r *recorder) deliver(ev core.EventID, id sim.NodeID) {
+// deliver logs one delivery hook firing at step (any goroutine). Only a
+// pair's first delivery counts; a delivery logged before its event's
+// publish registers counts once the publish does.
+func (r *recorder) deliver(ev core.EventID, id sim.NodeID, step int64) {
 	s := &r.shards[uint64(id)%deliverShards]
 	s.mu.Lock()
 	m := s.delivered[ev]
 	if m == nil {
-		m = make(map[sim.NodeID]bool)
+		m = make(map[sim.NodeID]int64)
 		s.delivered[ev] = m
 	}
-	if !m[id] {
-		m[id] = true
+	if _, seen := m[id]; seen {
+		s.repeats++
+	} else {
+		m[id] = step
 		s.pairCount++
 		r.pubMu.RLock()
 		t0, ok := r.pubAt[ev]
@@ -134,14 +145,63 @@ func (r *recorder) deliver(ev core.EventID, id sim.NodeID) {
 	s.mu.Unlock()
 }
 
-// deliveredFor merges one event's delivered set across shards.
-func (r *recorder) deliveredFor(ev core.EventID) map[sim.NodeID]bool {
-	out := make(map[sim.NodeID]bool)
+// ratio returns delivered/expected pairs over every tracked event; 1
+// when nothing was expected.
+func (r *recorder) ratio() float64 { return r.windowRatio(math.MinInt64, math.MaxInt64) }
+
+// windowRatio restricts ratio to the events published in steps
+// [from, to).
+func (r *recorder) windowRatio(from, to int64) float64 {
+	var expected, delivered int
+	for _, ev := range r.order {
+		if step := r.pubStep[ev]; step < from || step >= to {
+			continue
+		}
+		exp := r.expected[ev]
+		expected += len(exp)
+		for i := range r.shards {
+			s := &r.shards[i]
+			s.mu.Lock()
+			for id := range s.delivered[ev] {
+				if exp[id] {
+					delivered++
+				}
+			}
+			s.mu.Unlock()
+		}
+	}
+	if expected == 0 {
+		return 1
+	}
+	return float64(delivered) / float64(expected)
+}
+
+// latencies returns, in ascending order, the steps from publish to first
+// delivery of every delivered expected pair. A pair delivered before its
+// publish step has no latency.
+func (r *recorder) latencies() []int64 {
+	var out []int64
+	for _, ev := range r.order {
+		pub, exp := r.pubStep[ev], r.expected[ev]
+		for id, at := range r.deliveredFor(ev) {
+			if exp[id] && at >= pub {
+				out = append(out, at-pub)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// deliveredFor merges one event's delivered set, with each pair's
+// first-delivery step, across shards.
+func (r *recorder) deliveredFor(ev core.EventID) map[sim.NodeID]int64 {
+	out := make(map[sim.NodeID]int64)
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
-		for id := range s.delivered[ev] {
-			out[id] = true
+		for id, at := range s.delivered[ev] {
+			out[id] = at
 		}
 		s.mu.Unlock()
 	}
@@ -175,6 +235,18 @@ func (r *recorder) deliveredCount() int {
 		s := &r.shards[i]
 		s.mu.Lock()
 		n += s.pairCount
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// repeats totals the repeated deliveries across shards.
+func (r *recorder) repeats() int {
+	n := 0
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.Lock()
+		n += s.repeats
 		s.mu.Unlock()
 	}
 	return n
@@ -258,47 +330,6 @@ func (p *population) forget(id sim.NodeID) []filter.Subscription {
 
 func (p *population) durable(id sim.NodeID) []filter.Subscription {
 	return p.subs[id]
-}
-
-// subscriptionPlan is the two-wave bootstrap order shared by every
-// engine: the first subscription of each distinct filter goes out in a
-// creators wave (every group created exactly once), the rest join
-// settled groups — the same setup phase the paper uses, and the same
-// waves the experiment cluster feeds.
-type subscriptionPlan struct {
-	creators []plannedSub
-	joiners  []plannedSub
-}
-
-type plannedSub struct {
-	id  sim.NodeID
-	sub filter.Subscription
-}
-
-// buildPlan allocates the initial population's ids and draws its
-// subscriptions from the population's generator (advancing it — join
-// draws continue after the plan's).
-func buildPlan(pop *population, nodes int, addNode func() sim.NodeID) subscriptionPlan {
-	var plan subscriptionPlan
-	seen := make(map[string]bool, nodes)
-	for i := 0; i < nodes; i++ {
-		id := addNode()
-		for s := 0; s < pop.perNode; s++ {
-			sub := pop.gen.Subscription()
-			filters, err := filter.SubscriptionFilters(sub)
-			if err != nil {
-				panic(fmt.Sprintf("conform: generator produced an unsatisfiable subscription: %v", err))
-			}
-			key := filters[0].Key()
-			if seen[key] {
-				plan.joiners = append(plan.joiners, plannedSub{id: id, sub: sub})
-			} else {
-				seen[key] = true
-				plan.creators = append(plan.creators, plannedSub{id: id, sub: sub})
-			}
-		}
-	}
-	return plan
 }
 
 // sortedIDs returns the keys of a node-set in ascending order.

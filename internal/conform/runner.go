@@ -9,7 +9,6 @@ import (
 
 	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/workload"
 )
 
 // TTRStats summarises a time-to-repair distribution in engine ticks
@@ -264,17 +263,14 @@ func Run(opts Options) (*Result, error) {
 // scenario timeline with the invariant checker attached, and judges
 // convergence.
 func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, error) {
-	gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-	pop := newPopulation(gen, opts.SubsPerNode)
-	rec := newRecorder()
-	e, err := newEngine(name, opts, pop, rec)
+	e, err := newEngine(name, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
 	began := time.Now()
 
-	if err := bootstrap(e, opts.Nodes); err != nil {
+	if err := e.Bootstrap(opts.Nodes, 25); err != nil {
 		return nil, err
 	}
 
@@ -289,13 +285,11 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 	// quiesce window live snapshots are read in.
 	start := e.Now()
 	pubRng := rand.New(rand.NewSource(opts.Seed ^ 0xc405))
-	var evID core.EventID
 	for rel := int64(1); rel <= sc.Steps; rel++ {
 		e.AwaitStep(start + rel)
 		inj.Step(start + rel)
 		if opts.EventEvery > 0 && rel%int64(opts.EventEvery) == 0 {
-			evID++
-			publishTracked(e, rec, gen, pubRng, evID)
+			e.PublishTracked(pubRng)
 		}
 		if rel%opts.CheckEvery == 0 {
 			checker.Check(e.Now())
@@ -329,11 +323,7 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 		}
 	}
 
-	events, expectedPairs, deliveredPairs, falseDeliveries := rec.deliverySummary()
-	ratio := 1.0
-	if expectedPairs > 0 {
-		ratio = float64(deliveredPairs) / float64(expectedPairs)
-	}
+	events, expectedPairs, deliveredPairs, falseDeliveries := e.rec.deliverySummary()
 	checks := checker.Records()
 	repairs := checker.Repairs()
 	unrepaired := checker.Unrepaired()
@@ -362,66 +352,13 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 		Events:          events,
 		ExpectedPairs:   expectedPairs,
 		DeliveredPairs:  deliveredPairs,
-		DeliveryRatio:   ratio,
+		DeliveryRatio:   e.Ratio(),
 		FalseDeliveries: falseDeliveries,
 		Drops:           e.Stats(),
 		ElapsedMS:       float64(time.Since(began).Microseconds()) / 1000,
-		rec:             rec,
+		rec:             e.rec,
 	}
 	return run, nil
-}
-
-// bootstrap deploys the initial population on e: the two-wave
-// subscription plan at 25 subscriptions per step, with the settle windows
-// the experiment cluster uses — 25 steps before the join wave, 120 after
-// it for joins, co-leader announcements and adoption.
-func bootstrap(e *Engine, nodes int) error {
-	plan := buildPlan(e.pop, nodes, e.AddNode)
-	feed := func(jobs []plannedSub) error {
-		for len(jobs) > 0 {
-			k := 25
-			if k > len(jobs) {
-				k = len(jobs)
-			}
-			for _, j := range jobs[:k] {
-				if err := e.Subscribe(j.id, j.sub); err != nil {
-					return fmt.Errorf("conform: %s bootstrap subscribe: %w", e.name, err)
-				}
-			}
-			jobs = jobs[k:]
-			e.AwaitStep(e.Now() + 1)
-		}
-		return nil
-	}
-	if err := feed(plan.creators); err != nil {
-		return err
-	}
-	e.AwaitStep(e.Now() + 25)
-	if err := feed(plan.joiners); err != nil {
-		return err
-	}
-	e.AwaitStep(e.Now() + 120)
-	return nil
-}
-
-// publishTracked publishes one oracle-tracked event from a
-// deterministically drawn live publisher. The draw is consumed even when
-// no publisher exists, keeping the random stream aligned across engines.
-func publishTracked(e *Engine, rec *recorder, gen *workload.Generator, rng *rand.Rand, ev core.EventID) {
-	event := gen.Event()
-	draw := rng.Int63()
-	alive := e.AliveIDs()
-	if len(alive) == 0 {
-		return
-	}
-	publisher := alive[draw%int64(len(alive))]
-	rec.publish(ev, event, alive)
-	if err := e.Publish(publisher, ev, event); err != nil {
-		// The publisher crashed between the draw and the call (possible
-		// only through engine teardown races); the event stays tracked
-		// with zero deliveries.
-		return
-	}
 }
 
 // diffRuns compares one engine's delivered sets against the reference.

@@ -9,7 +9,6 @@ import (
 
 	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/filter"
-	"github.com/dps-overlay/dps/internal/workload"
 )
 
 // Throughput is the sustained-load experiment of the event pipeline:
@@ -159,18 +158,16 @@ func runThroughputOn(name string, opts ThroughputOptions) (*ThroughputRun, error
 		TickEvery:   opts.TickEvery,
 		Workers:     opts.Workers,
 	}.withDefaults()
-	gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-	pop := newPopulation(gen, opts.SubsPerNode)
-	rec := newRecorder()
-	e, err := newEngine(name, eng, pop, rec)
+	e, err := newEngine(name, eng)
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
+	gen, rec := e.pop.gen, e.rec
 
 	// Bootstrap: the same population a conformance run deploys, so the
 	// overlay under load is the overlay under test elsewhere.
-	if err := bootstrap(e, opts.Nodes); err != nil {
+	if err := e.Bootstrap(opts.Nodes, 25); err != nil {
 		return nil, err
 	}
 
@@ -228,7 +225,7 @@ func runThroughputOn(name string, opts ThroughputOptions) (*ThroughputRun, error
 				return nil, fmt.Errorf("conform: %s throughput publish: %w", name, err)
 			}
 		}
-		e.AwaitStep(e.Now() + 1)
+		e.Run(1)
 	}
 
 	// Drain until deliveries stop arriving: a run is over when the
@@ -236,7 +233,7 @@ func runThroughputOn(name string, opts ThroughputOptions) (*ThroughputRun, error
 	const quietSteps = 30
 	stale, seen := 0, -1
 	for stale < quietSteps {
-		e.AwaitStep(e.Now() + 1)
+		e.Run(1)
 		if n := rec.deliveredCount(); n != seen {
 			seen, stale = n, 0
 		} else {
@@ -246,7 +243,7 @@ func runThroughputOn(name string, opts ThroughputOptions) (*ThroughputRun, error
 
 	// Register expected sets now that the clock has stopped.
 	for i, event := range published {
-		rec.publish(core.EventID(i+1), event, ids)
+		rec.publish(core.EventID(i+1), event, e.Alive, e.Now())
 	}
 
 	pairs, sorted, arrivals, last := rec.latencySummary()

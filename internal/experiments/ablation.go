@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/metrics"
 	"github.com/dps-overlay/dps/internal/semtree"
@@ -108,25 +109,26 @@ func ablateQuantisation(opts AblationOptions) []AblationRow {
 func ablateGossipRounds(opts AblationOptions) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, rounds := range []int{1, 3} {
-		spec := ConfigSpec{Name: "epidemic", Traversal: core.RootBased, Comm: core.Epidemic}
-		c := NewClusterParallel(spec, opts.Seed, opts.Parallelism)
-		r := rounds
-		c.MutateConfig = func(cfg *core.Config) { cfg.GossipRounds = r }
-		gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-		c.SubscribePopulation(opts.Nodes, 2, 25, gen)
+		rounds := rounds
+		spec := conform.ConfigSpec{Name: "epidemic", Traversal: core.RootBased, Comm: core.Epidemic}
+		e, err := settledEngine(spec, opts.Seed, opts.Parallelism, opts.Nodes, 2,
+			func(cfg *core.Config) { cfg.GossipRounds = rounds })
+		if err != nil {
+			return nil, err
+		}
 		rng := rand.New(rand.NewSource(opts.Seed ^ 77))
 		for step := 1; step <= opts.Steps; step++ {
 			if step%10 == 0 {
-				c.PublishTracked(gen.Event(), rng.Int63())
+				e.PublishTracked(rng)
 			}
-			c.Engine.Step()
+			e.Run(1)
 		}
-		c.Engine.Run(60)
+		e.Run(60)
 		rows = append(rows,
 			AblationRow{"gossip-rounds", fmt.Sprintf("rounds=%d", rounds),
-				"delivery-ratio", c.Tracker.Ratio()},
+				"delivery-ratio", e.Ratio()},
 			AblationRow{"gossip-rounds", fmt.Sprintf("rounds=%d", rounds),
-				"event-msgs/node", avgEventMsgs(c)},
+				"event-msgs/node", avgEventMsgs(e)},
 		)
 	}
 	return rows, nil
@@ -137,43 +139,44 @@ func ablateGossipRounds(opts AblationOptions) ([]AblationRow, error) {
 func ablateViewDepth(opts AblationOptions) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, k := range []int{1, 3} {
-		spec := ConfigSpec{Name: "leader", Traversal: core.Generic, Comm: core.LeaderBased}
-		c := NewClusterParallel(spec, opts.Seed, opts.Parallelism)
-		kk := k
-		c.MutateConfig = func(cfg *core.Config) { cfg.K = kk }
-		gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-		c.SubscribePopulation(opts.Nodes, 2, 25, gen)
+		k := k
+		spec := conform.ConfigSpec{Name: "leader", Traversal: core.Generic, Comm: core.LeaderBased}
+		e, err := settledEngine(spec, opts.Seed, opts.Parallelism, opts.Nodes, 2,
+			func(cfg *core.Config) { cfg.K = k })
+		if err != nil {
+			return nil, err
+		}
 		rng := rand.New(rand.NewSource(opts.Seed ^ 99))
 		third := opts.Steps / 3
 		for step := 1; step <= opts.Steps; step++ {
 			if step%10 == 0 {
-				c.PublishTracked(gen.Event(), rng.Int63())
+				e.PublishTracked(rng)
 			}
-			if step > third && step <= 2*third && step%4 == 0 && c.Engine.AliveCount() > 2 {
-				c.KillRandomAlive(rng.Int63())
+			if step > third && step <= 2*third && step%4 == 0 && e.AliveCount() > 2 {
+				killDrawn(e, rng)
 			}
-			c.Engine.Step()
+			e.Run(1)
 		}
-		bound := c.Engine.Now()
-		c.Engine.Run(60)
+		bound := e.Now()
+		e.Run(60)
 		// Fresh delivery after the churn phase plus healing time.
 		rows = append(rows, AblationRow{
 			"view-depth", fmt.Sprintf("K=%d", k), "post-churn-delivery",
-			c.Tracker.WindowRatio(bound-int64(third)/2, bound),
+			e.WindowRatio(bound-int64(third)/2, bound),
 		})
 	}
 	return rows, nil
 }
 
-func avgEventMsgs(c *Cluster) float64 {
-	ids := c.AliveInt64s()
+func avgEventMsgs(e *conform.Engine) float64 {
+	ids := e.AliveIDs()
 	if len(ids) == 0 {
 		return 0
 	}
-	deltas := c.Registry.DeltaSince(map[int64]metrics.Counts{})
+	traffic := e.Traffic()
 	var total int64
 	for _, id := range ids {
-		total += deltas[id].OutOf(metrics.KindEvent)
+		total += traffic.Of(int64(id)).OutOf(metrics.KindEvent)
 	}
 	return float64(total) / float64(len(ids))
 }

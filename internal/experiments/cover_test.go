@@ -6,79 +6,61 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/filter"
-	"github.com/dps-overlay/dps/internal/metrics"
 	"github.com/dps-overlay/dps/internal/sim"
 	"github.com/dps-overlay/dps/internal/workload"
 )
 
 // leaderRoot is the paper's default variant, under which nodes cover.
-var leaderRoot = ConfigSpec{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased}
+var leaderRoot = conform.ConfigSpec{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased}
 
 // TestCoverDeliverySoundness is the randomized property test of
-// covering: for several seeds, a settled leader-mode cluster publishes an
+// covering: for several seeds, a settled leader-mode overlay publishes an
 // event stream, and the (event, node) pairs notified must be exactly the
 // oracle's expected set — every live subscriber whose subscription
-// matches (filter.Includes over the subscription mirror), nothing more.
-// A covered subscription rides on a strictly wider group, so every event
-// matching it reaches the carrying member. The run is churn-free so the
-// comparison is exact.
+// matches (filter.Includes over the subscription mirror), nothing more,
+// each once. A covered subscription rides on a strictly wider group, so
+// every event matching it reaches the carrying member. The run is
+// churn-free so the comparison is exact.
 func TestCoverDeliverySoundness(t *testing.T) {
 	for _, seed := range []int64{2, 13, 41} {
-		c := NewCluster(leaderRoot, seed)
-		gen := workload.MustGenerator(workload.Workload2(), seed)
-		c.SubscribePopulation(70, 2, 25, gen)
-		// Every notification, including ones outside the expected set
-		// (which the tracker ignores) or repeated ones.
-		notified := make(map[metrics.EventID][]int64)
-		for id, node := range c.Nodes {
-			id := id
-			node.OnDeliverHook(func(ev core.EventID, _ filter.Event) {
-				notified[metrics.EventID(ev)] = append(notified[metrics.EventID(ev)], int64(id))
-				c.Tracker.DeliverAt(metrics.EventID(ev), int64(id), c.Engine.Now())
-			})
+		e := conform.NewSimEngine(leaderRoot, seed, 0, workload.MustGenerator(workload.Workload2(), seed), 2, nil)
+		if err := e.Bootstrap(70, 25); err != nil {
+			t.Fatal(err)
 		}
 		// Full quiescence before publishing: the comparison is exact only
 		// when no walk is still in flight.
-		c.Engine.Run(150)
-		expected := make(map[metrics.EventID][]int64)
+		e.Run(150)
 		rng := rand.New(rand.NewSource(seed ^ 0xc0ffee))
+		var events []core.EventID
 		for step := 1; step <= 200; step++ {
 			if step%8 == 0 {
-				ev := gen.Event()
-				id := c.PublishTracked(ev, rng.Int63())
-				for m := range c.Oracle.MatchingMembers(ev) {
-					expected[metrics.EventID(id)] = append(expected[metrics.EventID(id)], int64(m))
-				}
+				events = append(events, e.PublishTracked(rng))
 			}
-			c.Engine.Step()
+			e.Run(1)
 		}
-		c.Engine.Run(60)
-		if len(expected) == 0 {
+		e.Run(60)
+		// The recorder logs every notification: ones outside the expected
+		// set and repeated ones as well.
+		matched := 0
+		for _, ev := range events {
+			want, got := e.Expected(ev), e.Delivered(ev)
+			if len(want) > 0 {
+				matched++
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d event %d: notified %v, oracle expects %v", seed, ev, got, want)
+			}
+		}
+		if matched == 0 {
 			t.Fatalf("seed %d: no event had a matching subscriber — scenario proves nothing", seed)
 		}
-		for _, pairs := range []map[metrics.EventID][]int64{expected, notified} {
-			for _, nodes := range pairs {
-				sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-			}
+		if n := e.Repeats(); n != 0 {
+			t.Errorf("seed %d: %d repeated notifications", seed, n)
 		}
-		if !reflect.DeepEqual(notified, expected) {
-			for ev, nodes := range expected {
-				if !reflect.DeepEqual(nodes, notified[ev]) {
-					t.Errorf("seed %d event %d: notified %v, oracle expects %v", seed, ev, notified[ev], nodes)
-				}
-			}
-			for ev, nodes := range notified {
-				if _, ok := expected[ev]; !ok {
-					t.Errorf("seed %d event %d: notified %v, oracle expects nobody", seed, ev, nodes)
-				}
-			}
-		}
-		if got := c.Tracker.DeliveredPairs(); !reflect.DeepEqual(got, expected) {
-			t.Errorf("seed %d: tracker delivered set differs from the oracle's", seed)
-		}
-		if r := c.Tracker.Ratio(); r != 1 {
+		if r := e.Ratio(); r != 1 {
 			t.Errorf("seed %d: delivery ratio %v, want 1", seed, r)
 		}
 
@@ -86,12 +68,12 @@ func TestCoverDeliverySoundness(t *testing.T) {
 		// nothing about covering — and every cover edge must satisfy the
 		// Includes oracle structurally.
 		edges := 0
-		for id, node := range c.Nodes {
+		for _, id := range e.AliveIDs() {
 			byKey := make(map[string]core.MembershipSnapshot)
-			for _, snap := range node.StructuralSnapshot() {
+			for _, snap := range e.StructuralSnapshot(id) {
 				byKey[snap.Key] = snap
 			}
-			for key, edge := range node.CoverTable() {
+			for key, edge := range coverTable(t, e, id) {
 				edges++
 				coverer, ok := byKey[edge.Coverer]
 				if !ok {
@@ -108,8 +90,18 @@ func TestCoverDeliverySoundness(t *testing.T) {
 		if edges == 0 {
 			t.Errorf("seed %d: no cover edges — covering was not exercised", seed)
 		}
-		t.Logf("seed %d: %d cover edges, notified set equals the oracle's (%d events)", seed, edges, len(expected))
+		t.Logf("seed %d: %d cover edges, notified set equals the oracle's (%d events)", seed, edges, matched)
 	}
+}
+
+// coverTable reads one node's covering table.
+func coverTable(t *testing.T, e *conform.Engine, id sim.NodeID) map[string]core.CoverEdge {
+	t.Helper()
+	var table map[string]core.CoverEdge
+	if err := e.Do(id, func(n *core.Node) { table = n.CoverTable() }); err != nil {
+		t.Fatal(err)
+	}
+	return table
 }
 
 // nestedPopulation gives n fresh nodes perNode generator subscriptions
@@ -119,10 +111,10 @@ func TestCoverDeliverySoundness(t *testing.T) {
 // in a group of its own — a tree owner's walks complete synchronously —
 // and covering never folds a settled group). It returns each node's
 // routed filters.
-func nestedPopulation(c *Cluster, n, perNode int, gen *workload.Generator) map[sim.NodeID][]filter.AttrFilter {
+func nestedPopulation(e *conform.Engine, n, perNode int, gen *workload.Generator) map[sim.NodeID][]filter.AttrFilter {
 	afs := make(map[sim.NodeID][]filter.AttrFilter, n)
 	for i := 0; i < n; i++ {
-		id := c.AddNode()
+		id := e.AddNode()
 		subs := make([]filter.Subscription, perNode)
 		for s := range subs {
 			subs[s] = gen.Subscription()
@@ -148,31 +140,31 @@ func nestedPopulation(c *Cluster, n, perNode int, gen *workload.Generator) map[s
 		}
 		sort.SliceStable(order, func(x, y int) bool { return included[order[x]] > included[order[y]] })
 		for _, s := range order {
-			if err := c.Subscribe(id, subs[s]); err != nil {
+			if err := e.Subscribe(id, subs[s]); err != nil {
 				panic(err)
 			}
 		}
-		c.Engine.Step()
+		e.Run(1)
 	}
-	c.Engine.Run(200)
+	e.Run(200)
 	return afs
 }
 
 // TestCoverCompactsRoutingState pins what covering buys structurally: on
-// a settled leader-mode cluster, a subscription strictly included by
+// a settled leader-mode overlay, a subscription strictly included by
 // another of the same node's subscriptions holds no membership of its
 // own — it is a cover edge riding on a wider one.
 func TestCoverCompactsRoutingState(t *testing.T) {
-	c := NewCluster(leaderRoot, 9)
-	afs := nestedPopulation(c, 120, 3, workload.MustGenerator(workload.Workload2(), 9))
+	gen := workload.MustGenerator(workload.Workload2(), 9)
+	e := conform.NewSimEngine(leaderRoot, 9, 0, gen, 3, nil)
+	afs := nestedPopulation(e, 120, 3, gen)
 	nested := 0
 	for id, list := range afs {
-		node := c.Nodes[id]
 		held := make(map[string]bool)
-		for _, snap := range node.StructuralSnapshot() {
+		for _, snap := range e.StructuralSnapshot(id) {
 			held[snap.Key] = true
 		}
-		table := node.CoverTable()
+		table := coverTable(t, e, id)
 		for _, narrow := range list {
 			for _, wide := range list {
 				if wide.Attr() != narrow.Attr() || !wide.StrictlyIncludes(narrow) {
@@ -201,9 +193,10 @@ func TestCoverCompactsRoutingState(t *testing.T) {
 // node holding nested subscriptions routes each in a membership of its
 // own and keeps an empty covering table.
 func TestCoverSkipsEpidemic(t *testing.T) {
-	c := NewCluster(ConfigSpec{Name: "epidemic root", Traversal: core.RootBased, Comm: core.Epidemic}, 5)
+	spec := conform.ConfigSpec{Name: "epidemic root", Traversal: core.RootBased, Comm: core.Epidemic}
+	e := conform.NewSimEngine(spec, 5, 0, workload.MustGenerator(workload.Workload2(), 5), 0, nil)
 	for i := 0; i < 4; i++ {
-		c.AddNode()
+		e.AddNode()
 	}
 	var keys []string
 	for _, expr := range []string{"a>10", "a>20", "a>2"} { // covering stop, then widening
@@ -211,7 +204,7 @@ func TestCoverSkipsEpidemic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Subscribe(1, sub); err != nil {
+		if err := e.Subscribe(1, sub); err != nil {
 			t.Fatal(err)
 		}
 		filters, err := filter.SubscriptionFilters(sub)
@@ -220,13 +213,12 @@ func TestCoverSkipsEpidemic(t *testing.T) {
 		}
 		keys = append(keys, filters[0].Key())
 	}
-	c.Engine.Run(100)
-	node := c.Nodes[1]
-	if table := node.CoverTable(); len(table) != 0 {
+	e.Run(100)
+	if table := coverTable(t, e, 1); len(table) != 0 {
 		t.Errorf("epidemic node covers: %v", table)
 	}
 	held := make(map[string]bool)
-	for _, snap := range node.StructuralSnapshot() {
+	for _, snap := range e.StructuralSnapshot(1) {
 		held[snap.Key] = true
 	}
 	for _, key := range keys {

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"strings"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/workload"
 )
 
 // Fig3aOptions parameterise the dependability experiment (Figure 3(a)):
@@ -21,7 +21,7 @@ type Fig3aOptions struct {
 	SubsPerNode  int
 	EventEvery   int
 	FailureProbs []float64
-	Configs      []ConfigSpec
+	Configs      []conform.ConfigSpec
 	SettleTail   int
 	// Parallelism is the engine worker count: 0/1 sequential, W > 1
 	// parallel on W workers, negative one worker per CPU. Metrics are
@@ -68,7 +68,10 @@ func RunFig3a(opts Fig3aOptions) (*Fig3aResult, error) {
 	for _, spec := range opts.Configs {
 		series := Fig3aSeries{Config: spec.Name}
 		for _, p := range opts.FailureProbs {
-			ratio, survivors := runDependabilityScenario(spec, opts, p)
+			ratio, survivors, err := runDependabilityScenario(spec, opts, p)
+			if err != nil {
+				return nil, err
+			}
 			series.Probs = append(series.Probs, p)
 			series.Ratios = append(series.Ratios, ratio)
 			series.Survivors = append(series.Survivors, survivors)
@@ -78,10 +81,11 @@ func RunFig3a(opts Fig3aOptions) (*Fig3aResult, error) {
 	return res, nil
 }
 
-func runDependabilityScenario(spec ConfigSpec, opts Fig3aOptions, p float64) (ratio, survivors float64) {
-	c := NewClusterParallel(spec, opts.Seed, opts.Parallelism)
-	gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-	c.SubscribePopulation(opts.Nodes, opts.SubsPerNode, 25, gen)
+func runDependabilityScenario(spec conform.ConfigSpec, opts Fig3aOptions, p float64) (ratio, survivors float64, err error) {
+	e, err := settledEngine(spec, opts.Seed, opts.Parallelism, opts.Nodes, opts.SubsPerNode, nil)
+	if err != nil {
+		return 0, 0, err
+	}
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0xf19a))
 	killEvery := 0
 	if p > 0 {
@@ -92,15 +96,15 @@ func runDependabilityScenario(spec ConfigSpec, opts Fig3aOptions, p float64) (ra
 	}
 	for step := 1; step <= opts.Steps; step++ {
 		if step%opts.EventEvery == 0 {
-			c.PublishTracked(gen.Event(), rng.Int63())
+			e.PublishTracked(rng)
 		}
-		if killEvery > 0 && step%killEvery == 0 && c.Engine.AliveCount() > 2 {
-			c.KillRandomAlive(rng.Int63())
+		if killEvery > 0 && step%killEvery == 0 && e.AliveCount() > 2 {
+			killDrawn(e, rng)
 		}
-		c.Engine.Step()
+		e.Run(1)
 	}
-	c.Engine.Run(opts.SettleTail)
-	return c.Tracker.Ratio(), float64(c.Engine.AliveCount()) / float64(opts.Nodes)
+	e.Run(int64(opts.SettleTail))
+	return e.Ratio(), float64(e.AliveCount()) / float64(opts.Nodes), nil
 }
 
 // Render prints one row per configuration, one column per failure rate.
@@ -148,7 +152,7 @@ type Fig3bOptions struct {
 	FailTo      int
 	KillEvery   int
 	Window      int
-	Configs     []ConfigSpec
+	Configs     []conform.ConfigSpec
 	// Parallelism is the engine worker count: 0/1 sequential, W > 1
 	// parallel on W workers, negative one worker per CPU. Metrics are
 	// bit-identical across worker counts for a given seed.
@@ -167,7 +171,7 @@ func DefaultFig3bOptions() Fig3bOptions {
 		FailTo:      2000,
 		KillEvery:   2,
 		Window:      100,
-		Configs: []ConfigSpec{
+		Configs: []conform.ConfigSpec{
 			{Name: "leader generic", Traversal: core.Generic, Comm: core.LeaderBased},
 			{Name: "epidemic generic", Traversal: core.Generic, Comm: core.Epidemic},
 			{Name: "epidemic generic k = 2", Traversal: core.Generic, Comm: core.Epidemic, Fanout: 2, CrossFanout: 2},
@@ -195,31 +199,32 @@ func RunFig3b(opts Fig3bOptions) (*Fig3bResult, error) {
 	}
 	res := &Fig3bResult{Opts: opts}
 	for _, spec := range opts.Configs {
-		c := NewClusterParallel(spec, opts.Seed, opts.Parallelism)
-		gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-		c.SubscribePopulation(opts.Nodes, opts.SubsPerNode, 25, gen)
+		e, err := settledEngine(spec, opts.Seed, opts.Parallelism, opts.Nodes, opts.SubsPerNode, nil)
+		if err != nil {
+			return nil, err
+		}
 		rng := rand.New(rand.NewSource(opts.Seed ^ 0x3b))
 		series := Fig3bSeries{Config: spec.Name}
 		// Window boundaries in engine time; ratios are computed after the
 		// whole run so every window's deliveries have fully drained.
-		bounds := []int64{c.Engine.Now()}
+		bounds := []int64{e.Now()}
 		for step := 1; step <= opts.Steps; step++ {
 			if step%opts.EventEvery == 0 {
-				c.PublishTracked(gen.Event(), rng.Int63())
+				e.PublishTracked(rng)
 			}
 			if step > opts.FailFrom && step <= opts.FailTo &&
-				step%opts.KillEvery == 0 && c.Engine.AliveCount() > 2 {
-				c.KillRandomAlive(rng.Int63())
+				step%opts.KillEvery == 0 && e.AliveCount() > 2 {
+				killDrawn(e, rng)
 			}
-			c.Engine.Step()
+			e.Run(1)
 			if step%opts.Window == 0 {
-				bounds = append(bounds, c.Engine.Now())
+				bounds = append(bounds, e.Now())
 				series.Steps = append(series.Steps, int64(step))
 			}
 		}
-		c.Engine.Run(60) // drain the last window's in-flight deliveries
+		e.Run(60) // drain the last window's in-flight deliveries
 		for i := 1; i < len(bounds); i++ {
-			series.Ratios = append(series.Ratios, c.Tracker.WindowRatio(bounds[i-1], bounds[i]))
+			series.Ratios = append(series.Ratios, e.WindowRatio(bounds[i-1], bounds[i]))
 		}
 		res.Series = append(res.Series, series)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
 )
 
@@ -75,8 +76,8 @@ func TestTable1Validation(t *testing.T) {
 	}
 }
 
-func smallConfigs() []ConfigSpec {
-	return []ConfigSpec{
+func smallConfigs() []conform.ConfigSpec {
+	return []conform.ConfigSpec{
 		{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased},
 		{Name: "epidemic root k = 2", Traversal: core.RootBased, Comm: core.Epidemic, Fanout: 2, CrossFanout: 2},
 	}
@@ -192,7 +193,7 @@ func TestLoadComparisonSmall(t *testing.T) {
 		SubEvery:   100,
 		EventEvery: 10,
 		Window:     100,
-		Configs: []ConfigSpec{
+		Configs: []conform.ConfigSpec{
 			{Name: "leader", Traversal: core.RootBased, Comm: core.LeaderBased},
 			{Name: "epidemic", Traversal: core.RootBased, Comm: core.Epidemic},
 		},

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/sim"
 	"github.com/dps-overlay/dps/internal/workload"
@@ -25,7 +26,7 @@ const sendTraceDigestFile = "testdata/send_trace.digest"
 // event every 10 steps, and hashes every accepted send in order: step,
 // sender, recipient and the message's wire encoding (whose second byte is
 // its type). It returns the send count and the hex SHA-256.
-func sendTraceDigest(t *testing.T, spec ConfigSpec) (int, string) {
+func sendTraceDigest(t *testing.T, spec conform.ConfigSpec) (int, string) {
 	t.Helper()
 	const (
 		nodes = 60
@@ -114,7 +115,7 @@ func sendTraceDigest(t *testing.T, spec ConfigSpec) (int, string) {
 //
 //	go test ./internal/experiments -run TestSendTraceGolden -update
 func TestSendTraceGolden(t *testing.T) {
-	runs := []ConfigSpec{
+	runs := []conform.ConfigSpec{
 		{Name: "leader", Traversal: core.RootBased, Comm: core.LeaderBased},
 		{Name: "epidemic-k2", Traversal: core.RootBased, Comm: core.Epidemic, Fanout: 2, CrossFanout: 2},
 	}

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"strings"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/metrics"
-	"github.com/dps-overlay/dps/internal/workload"
 )
 
 // The latency experiment validates the paper's §6 conclusion that "the
@@ -22,7 +22,7 @@ type LatencyOptions struct {
 	Nodes       int
 	SubsPerNode int
 	Events      int
-	Configs     []ConfigSpec
+	Configs     []conform.ConfigSpec
 	// Parallelism is the engine worker count: 0/1 sequential, W > 1
 	// parallel on W workers, negative one worker per CPU. Metrics are
 	// bit-identical across worker counts for a given seed.
@@ -37,7 +37,7 @@ func DefaultLatencyOptions() LatencyOptions {
 		Nodes:       400,
 		SubsPerNode: 2,
 		Events:      200,
-		Configs: []ConfigSpec{
+		Configs: []conform.ConfigSpec{
 			{Name: "root", Traversal: core.RootBased, Comm: core.LeaderBased},
 			{Name: "generic", Traversal: core.Generic, Comm: core.LeaderBased},
 		},
@@ -67,20 +67,21 @@ func RunLatency(opts LatencyOptions) (*LatencyResult, error) {
 	}
 	res := &LatencyResult{Opts: opts}
 	for _, spec := range opts.Configs {
-		c := NewClusterParallel(spec, opts.Seed, opts.Parallelism)
-		gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-		c.SubscribePopulation(opts.Nodes, opts.SubsPerNode, 25, gen)
+		e, err := settledEngine(spec, opts.Seed, opts.Parallelism, opts.Nodes, opts.SubsPerNode, nil)
+		if err != nil {
+			return nil, err
+		}
 		rng := rand.New(rand.NewSource(opts.Seed ^ 0x1a7))
 		for i := 0; i < opts.Events; i++ {
-			c.PublishTracked(gen.Event(), rng.Int63())
-			c.Engine.Run(5) // spaced publications; latencies still overlap
+			e.PublishTracked(rng)
+			e.Run(5) // spaced publications; latencies still overlap
 		}
-		c.Engine.Run(80)
-		lats := c.Tracker.Latencies()
+		e.Run(80)
+		lats := e.Latencies()
 		row := LatencyRow{
 			Config:     spec.Name,
 			Deliveries: len(lats),
-			Ratio:      c.Tracker.Ratio(),
+			Ratio:      e.Ratio(),
 			P95Steps:   metrics.Percentile(lats, 0.95),
 			MaxSteps:   metrics.Max(lats),
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/metrics"
 	"github.com/dps-overlay/dps/internal/sim"
@@ -25,7 +26,7 @@ type LoadOptions struct {
 	SubEvery   int
 	EventEvery int
 	Window     int
-	Configs    []ConfigSpec
+	Configs    []conform.ConfigSpec
 	// Parallelism is the engine worker count: 0/1 sequential, W > 1
 	// parallel on W workers, negative one worker per CPU. Metrics are
 	// bit-identical across worker counts for a given seed.
@@ -42,7 +43,7 @@ func DefaultFig3efOptions() LoadOptions {
 		SubEvery:   300,
 		EventEvery: 10,
 		Window:     100,
-		Configs: []ConfigSpec{
+		Configs: []conform.ConfigSpec{
 			{Name: "leader", Traversal: core.RootBased, Comm: core.LeaderBased},
 			{Name: "epidemic", Traversal: core.RootBased, Comm: core.Epidemic},
 		},
@@ -59,7 +60,7 @@ func DefaultFig3gOptions() LoadOptions {
 		SubEvery:   300,
 		EventEvery: 10,
 		Window:     100,
-		Configs: []ConfigSpec{
+		Configs: []conform.ConfigSpec{
 			{Name: "root", Traversal: core.RootBased, Comm: core.LeaderBased},
 			{Name: "generic", Traversal: core.Generic, Comm: core.LeaderBased},
 		},
@@ -91,35 +92,36 @@ func RunLoadComparison(title string, opts LoadOptions) (*LoadResult, error) {
 	}
 	res := &LoadResult{Title: title, Opts: opts}
 	for _, spec := range opts.Configs {
-		c := NewClusterParallel(spec, opts.Seed, opts.Parallelism)
 		gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
+		e := conform.NewSimEngine(spec, opts.Seed, opts.Parallelism, gen, 0, nil)
 		// Nodes join with no subscriptions; they accumulate them during
 		// the run.
 		ids := make([]sim.NodeID, 0, opts.Nodes)
 		for i := 0; i < opts.Nodes; i++ {
-			ids = append(ids, c.AddNode())
+			ids = append(ids, e.AddNode())
 		}
-		c.Engine.Run(5)
+		e.Run(5)
 		rng := rand.New(rand.NewSource(opts.Seed ^ 0xef9))
 		series := LoadSeries{Config: spec.Name}
-		snap := c.Registry.Snapshot()
+		traffic := e.Traffic()
+		snap := traffic.Snapshot()
 		for step := 1; step <= opts.Steps; step++ {
 			// Staggered subscriptions: node i subscribes when step ≡ i
 			// (mod SubEvery), i.e. each node once per SubEvery steps.
 			for _, id := range ids {
 				if int(id)%opts.SubEvery == step%opts.SubEvery {
-					if err := c.Subscribe(id, gen.Subscription()); err != nil {
+					if err := e.Subscribe(id, gen.Subscription()); err != nil {
 						return nil, err
 					}
 				}
 			}
 			if step%opts.EventEvery == 0 {
-				c.PublishTracked(gen.Event(), rng.Int63())
+				e.PublishTracked(rng)
 			}
-			c.Engine.Step()
+			e.Run(1)
 			if step%opts.Window == 0 {
-				deltas := c.Registry.DeltaSince(snap)
-				alive := c.AliveInt64s()
+				deltas := traffic.DeltaSince(snap)
+				alive := e.AliveIDs()
 				ins := metrics.Collect(alive, deltas, metrics.Counts.InTotal)
 				outs := metrics.Collect(alive, deltas, metrics.Counts.OutTotal)
 				series.SubsPerNode = append(series.SubsPerNode, float64(step)/float64(opts.SubEvery))
@@ -127,7 +129,7 @@ func RunLoadComparison(title string, opts LoadOptions) (*LoadResult, error) {
 				series.MedianIn = append(series.MedianIn, metrics.Median(ins))
 				series.MaxOut = append(series.MaxOut, float64(metrics.Max(outs)))
 				series.MedianOut = append(series.MedianOut, metrics.Median(outs))
-				snap = c.Registry.Snapshot()
+				snap = traffic.Snapshot()
 			}
 		}
 		res.Series = append(res.Series, series)

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"strings"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/metrics"
-	"github.com/dps-overlay/dps/internal/workload"
 )
 
 // Fig3cdOptions parameterise the scalability experiment (Figures 3(c) and
@@ -22,7 +22,7 @@ type Fig3cdOptions struct {
 	JoinEvery  int
 	EventEvery int
 	Window     int
-	Configs    []ConfigSpec
+	Configs    []conform.ConfigSpec
 	// Parallelism is the engine worker count: 0/1 sequential, W > 1
 	// parallel on W workers, negative one worker per CPU. Metrics are
 	// bit-identical across worker counts for a given seed.
@@ -38,7 +38,7 @@ func DefaultFig3cdOptions() Fig3cdOptions {
 		JoinEvery:  2,
 		EventEvery: 10,
 		Window:     100,
-		Configs: []ConfigSpec{
+		Configs: []conform.ConfigSpec{
 			{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased},
 			{Name: "epidemic root", Traversal: core.RootBased, Comm: core.Epidemic},
 			{Name: "epidemic root k = 2", Traversal: core.RootBased, Comm: core.Epidemic, Fanout: 2, CrossFanout: 2},
@@ -73,28 +73,27 @@ func RunFig3cd(opts Fig3cdOptions) (*Fig3cdResult, error) {
 	}
 	res := &Fig3cdResult{Opts: opts}
 	for _, spec := range opts.Configs {
-		c := NewClusterParallel(spec, opts.Seed, opts.Parallelism)
-		gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
-		c.SubscribePopulation(opts.Nodes, 1, 25, gen)
+		e, err := settledEngine(spec, opts.Seed, opts.Parallelism, opts.Nodes, 1, nil)
+		if err != nil {
+			return nil, err
+		}
 		rng := rand.New(rand.NewSource(opts.Seed ^ 0xc0de))
 		series := Fig3cdSeries{Config: spec.Name}
-		snap := c.Registry.Snapshot()
+		traffic := e.Traffic()
+		snap := traffic.Snapshot()
 		eventsInWindow := 0
 		for step := 1; step <= opts.Steps; step++ {
 			if step%opts.EventEvery == 0 {
-				c.PublishTracked(gen.Event(), rng.Int63())
+				e.PublishTracked(rng)
 				eventsInWindow++
 			}
 			if step%opts.JoinEvery == 0 {
-				id := c.AddNode()
-				if err := c.Subscribe(id, gen.Subscription()); err != nil {
-					return nil, err
-				}
+				e.Join()
 			}
-			c.Engine.Step()
+			e.Run(1)
 			if step%opts.Window == 0 {
-				deltas := c.Registry.DeltaSince(snap)
-				ids := c.AliveInt64s()
+				deltas := traffic.DeltaSince(snap)
+				ids := e.AliveIDs()
 				outs := metrics.Collect(ids, deltas, func(x metrics.Counts) int64 {
 					return x.OutOf(metrics.KindEvent)
 				})
@@ -106,7 +105,7 @@ func RunFig3cd(opts Fig3cdOptions) (*Fig3cdResult, error) {
 				series.MedianPerEvent = append(series.MedianPerEvent, metrics.Median(outs)/div)
 				series.MaxPerEvent = append(series.MaxPerEvent, float64(metrics.Max(outs))/div)
 				series.Population = append(series.Population, len(ids))
-				snap = c.Registry.Snapshot()
+				snap = traffic.Snapshot()
 				eventsInWindow = 0
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"time"
 
+	"github.com/dps-overlay/dps/internal/conform"
+	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/workload"
 )
 
@@ -101,48 +103,48 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 		batch = 50
 	}
 	// The paper's default variant: root traversal, leader communication.
-	c := NewClusterParallel(PaperConfigs()[0], opts.Seed, opts.Parallelism)
 	gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
+	e := conform.NewSimEngine(PaperConfigs()[0], opts.Seed, opts.Parallelism, gen, opts.SubsPerNode, nil)
 
-	res := &ScaleResult{Opts: opts, Workers: c.Engine.Workers()}
+	res := &ScaleResult{Opts: opts, Workers: e.Workers()}
 	start := time.Now()
-	stepsBefore := c.Engine.Now()
-	c.SubscribePopulation(opts.Nodes, opts.SubsPerNode, batch, gen)
-	// SubscribePopulation's settle tail is sized for paper-scale (≤10k)
+	stepsBefore := e.Now()
+	if err := e.Bootstrap(opts.Nodes, batch); err != nil {
+		return nil, err
+	}
+	// Bootstrap's settle tail is sized for paper-scale (≤10k)
 	// populations; larger forests need proportionally longer for late
 	// joins, adoptions and co-leader announcements to quiesce before the
 	// measured phase starts.
-	if extra := opts.Nodes / 100; extra > 0 {
-		c.Engine.Run(extra)
-	}
+	e.Run(int64(opts.Nodes / 100))
 	res.BuildWall = time.Since(start)
-	res.BuildSteps = int(c.Engine.Now() - stepsBefore)
-	res.Trees = c.Oracle.Trees()
-	res.Groups = c.Oracle.Groups()
-	res.RoutingBytesPerNode = c.RoutingBytesPerNode()
+	res.BuildSteps = int(e.Now() - stepsBefore)
+	res.Trees = e.Oracle().Trees()
+	res.Groups = e.Oracle().Groups()
+	res.RoutingBytesPerNode = e.RoutingBytesPerNode()
 
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5ca1e))
 	start = time.Now()
-	stepsBefore = c.Engine.Now()
-	forwardsBefore := c.TreeForwards()
-	for e := 0; e < opts.Events; e++ {
-		c.PublishTracked(gen.Event(), rng.Int63())
-		c.Engine.Run(opts.EventEvery)
+	stepsBefore = e.Now()
+	forwardsBefore := e.TreeForwards()
+	for i := 0; i < opts.Events; i++ {
+		e.PublishTracked(rng)
+		e.Run(int64(opts.EventEvery))
 	}
-	c.Engine.Run(100) // drain in-flight deliveries
+	e.Run(100) // drain in-flight deliveries
 	res.RunWall = time.Since(start)
-	res.RunSteps = int(c.Engine.Now() - stepsBefore)
-	res.ForwardedMsgs = c.TreeForwards() - forwardsBefore
+	res.RunSteps = int(e.Now() - stepsBefore)
+	res.ForwardedMsgs = e.TreeForwards() - forwardsBefore
 	if secs := res.RunWall.Seconds(); secs > 0 {
 		res.StepsPerSec = float64(res.RunSteps) / secs
 	}
 
-	res.DeliveryRatio = c.Tracker.Ratio()
+	res.DeliveryRatio = e.Ratio()
 	var contacted int64
-	for _, set := range c.Contacted {
-		contacted += int64(len(set))
+	for ev := core.EventID(1); ev <= core.EventID(opts.Events); ev++ {
+		contacted += int64(e.Contacted(ev))
 	}
-	res.ContactedPct = float64(contacted) / (float64(c.NextEvent) * float64(opts.Nodes)) * 100
+	res.ContactedPct = float64(contacted) / (float64(opts.Events) * float64(opts.Nodes)) * 100
 	return res, nil
 }
 

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"strings"
 
+	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/semtree"
 	"github.com/dps-overlay/dps/internal/workload"
 )
@@ -104,30 +104,23 @@ func table1Oracle(name string, gen *workload.Generator, opts Table1Options) (Tab
 // table1Protocol runs the same measurement through the full DPS protocol
 // on the cycle engine.
 func table1Protocol(name string, gen *workload.Generator, opts Table1Options) (Table1Row, error) {
-	c := NewClusterParallel(ConfigSpec{
-		Name:      "leader root",
-		Traversal: core.RootBased,
-		Comm:      core.LeaderBased,
-	}, opts.Seed, opts.Parallelism)
-	c.SubscribePopulation(opts.Nodes, 1, 50, gen)
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x7a17))
-	events := make([]core.EventID, 0, opts.Events)
-	evs := make(map[core.EventID]filter.Event, opts.Events)
-	for e := 0; e < opts.Events; e++ {
-		ev := gen.Event()
-		id := c.PublishTracked(ev, rng.Int63())
-		events = append(events, id)
-		evs[id] = ev
-		c.Engine.Step()
+	e := conform.NewSimEngine(PaperConfigs()[0], opts.Seed, opts.Parallelism, gen, 1, nil)
+	if err := e.Bootstrap(opts.Nodes, 50); err != nil {
+		return Table1Row{}, err
 	}
-	c.Engine.Run(100) // drain in-flight deliveries
+	rng := rand.New(rand.NewSource(opts.Seed ^ 0x7a17))
+	for i := 0; i < opts.Events; i++ {
+		e.PublishTracked(rng)
+		e.Run(1)
+	}
+	e.Run(100) // drain in-flight deliveries
 	var contacted, matching int64
-	for _, id := range events {
-		contacted += int64(len(c.Contacted[id]))
-		matching += int64(len(c.Oracle.MatchingMembers(evs[id])))
+	for ev := core.EventID(1); ev <= core.EventID(opts.Events); ev++ {
+		contacted += int64(e.Contacted(ev))
+		matching += int64(len(e.Expected(ev)))
 	}
 	return table1Row(name, contacted, matching, opts,
-		c.Oracle.Trees(), c.Oracle.Groups()), nil
+		e.Oracle().Trees(), e.Oracle().Groups()), nil
 }
 
 func table1Row(name string, contacted, matching int64, opts Table1Options, trees, groups int) Table1Row {

@@ -1,8 +1,9 @@
 // Package metrics provides the measurement substrate for the DPS
 // evaluation: per-node traffic counters split by message kind, snapshot
 // deltas for the 100-step sampling windows of the paper's Figures 3(c)–(g),
-// event-delivery tracking for the dependability experiments of Figures
-// 3(a)–(b), and the median/max aggregations the plots report.
+// and the median/max/percentile aggregations the plots report. Delivery
+// accounting lives with the engine that runs the figures (the conform
+// package's recorder).
 package metrics
 
 import (
@@ -66,8 +67,9 @@ func (c Counts) Sub(o Counts) Counts {
 }
 
 // Registry accumulates traffic counters per node. It is safe for
-// concurrent use (the live runtime is concurrent; the cycle engine is
-// single-threaded and pays one uncontended lock).
+// concurrent use. The cycle engine fires its send and delivery hooks on
+// the goroutine that steps it, under the parallel executor too, so there
+// the lock is uncontended.
 type Registry struct {
 	mu     sync.Mutex
 	counts map[int64]*Counts
@@ -184,10 +186,10 @@ func Percentile(xs []int64, p float64) int64 {
 // Collect materialises one per-node statistic over a node population,
 // filling zeros for nodes the delta map has never seen — the population
 // must include silent nodes or medians are biased upward.
-func Collect(ids []int64, deltas map[int64]Counts, get func(Counts) int64) []int64 {
+func Collect[ID ~int64](ids []ID, deltas map[int64]Counts, get func(Counts) int64) []int64 {
 	out := make([]int64, len(ids))
 	for i, id := range ids {
-		out[i] = get(deltas[id])
+		out[i] = get(deltas[int64(id)])
 	}
 	return out
 }

@@ -112,40 +112,29 @@ func TestCollectFillsZeros(t *testing.T) {
 	}
 }
 
-func TestDeliveryTracker(t *testing.T) {
-	d := NewDeliveryTracker()
-	d.Publish(1, 10, []int64{1, 2, 3})
-	d.Publish(2, 20, []int64{4})
-	d.Deliver(1, 1)
-	d.Deliver(1, 2)
-	d.Deliver(1, 99) // not expected: ignored
-	d.Deliver(2, 4)
-	d.Deliver(2, 4) // duplicate: idempotent
-	if got := d.Ratio(); got != 0.75 {
-		t.Errorf("Ratio = %v, want 0.75", got)
+func TestPercentileEdges(t *testing.T) {
+	if got := Percentile(nil, 0.5); got != 0 {
+		t.Errorf("Percentile(nil) = %d", got)
 	}
-	if got := d.WindowRatio(0, 15); got != 2.0/3.0 {
-		t.Errorf("WindowRatio early = %v", got)
+	xs := []int64{5}
+	if got := Percentile(xs, 0); got != 5 {
+		t.Errorf("p0 of singleton = %d", got)
 	}
-	if got := d.WindowRatio(15, 30); got != 1.0 {
-		t.Errorf("WindowRatio late = %v", got)
+	if got := Percentile(xs, 1); got != 5 {
+		t.Errorf("p100 of singleton = %d", got)
 	}
-	if got := d.WindowRatio(100, 200); got != 1.0 {
-		t.Errorf("empty window should be 1, got %v", got)
+	many := []int64{9, 1, 5, 3, 7} // unsorted on purpose
+	if got := Percentile(many, 0); got != 1 {
+		t.Errorf("p0 = %d, want 1", got)
 	}
-	if d.Events() != 2 {
-		t.Errorf("Events = %d", d.Events())
+	if got := Percentile(many, 1); got != 9 {
+		t.Errorf("p100 = %d, want 9", got)
 	}
-	d.Forget(15)
-	if d.Events() != 1 {
-		t.Errorf("Events after Forget = %d", d.Events())
+	if got := Percentile(many, 0.5); got != 5 {
+		t.Errorf("p50 = %d, want 5", got)
 	}
-}
-
-func TestDeliveryTrackerNoExpected(t *testing.T) {
-	d := NewDeliveryTracker()
-	d.Publish(1, 0, nil)
-	if got := d.Ratio(); got != 1 {
-		t.Errorf("Ratio with no expectations = %v, want 1", got)
+	// Percentile must not mutate its input.
+	if many[0] != 9 {
+		t.Error("Percentile sorted the caller's slice")
 	}
 }
