@@ -13,6 +13,7 @@ import (
 
 	"github.com/dps-overlay/dps/internal/conform"
 	"github.com/dps-overlay/dps/internal/core"
+	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/sim"
 	"github.com/dps-overlay/dps/internal/workload"
 )
@@ -21,12 +22,26 @@ var updateTraceDigest = flag.Bool("update", false, "rewrite testdata/send_trace.
 
 const sendTraceDigestFile = "testdata/send_trace.digest"
 
+// traceRun is one pinned run of TestSendTraceGolden: a configuration and
+// whether faults strike at crashStep.
+type traceRun struct {
+	name  string
+	spec  conform.ConfigSpec
+	crash bool
+}
+
+// crashStep is when a crash run kills every tenth node and unsubscribes
+// one subscription of every fifth survivor; the 200 steps that
+// follow cover failure detection, root reclamation, re-attachment, branch
+// deletion, the covering repair paths and join retries.
+const crashStep = 200
+
 // sendTraceDigest runs a 60-node × 2-subscription overlay (Workload 2,
 // seed 11) on the sequential cycle engine for 400 steps, one published
-// event every 10 steps, and hashes every accepted send in order: step,
-// sender, recipient and the message's wire encoding (whose second byte is
-// its type). It returns the send count and the hex SHA-256.
-func sendTraceDigest(t *testing.T, spec conform.ConfigSpec) (int, string) {
+// event every 10 steps from a live node, and hashes every accepted send in
+// order: step, sender, recipient and the message's wire encoding (whose
+// second byte is its type). It returns the send count and the hex SHA-256.
+func sendTraceDigest(t *testing.T, run traceRun) (int, string) {
 	t.Helper()
 	const (
 		nodes = 60
@@ -68,7 +83,7 @@ func sendTraceDigest(t *testing.T, spec conform.ConfigSpec) (int, string) {
 	for i := range all {
 		cfg := core.DefaultConfig()
 		cfg.Directory = core.LiveDirectory{Directory: dir, Alive: eng.Alive}
-		spec.Apply(&cfg)
+		run.spec.Apply(&cfg)
 		node, err := core.NewNode(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -81,11 +96,14 @@ func sendTraceDigest(t *testing.T, spec conform.ConfigSpec) (int, string) {
 	// Subscriptions arrive a few per step during the first 60 steps, so
 	// the trace covers group creation, joins and covering as well as the
 	// settled upkeep that follows.
+	placed := make([][]filter.Subscription, nodes)
 	for s := 0; s < subs; s++ {
 		for i, node := range all {
-			if err := node.Subscribe(gen.Subscription()); err != nil {
+			sub := gen.Subscription()
+			if err := node.Subscribe(sub); err != nil {
 				t.Fatal(err)
 			}
+			placed[i] = append(placed[i], sub)
 			if i%2 == 1 {
 				eng.Step()
 			}
@@ -93,9 +111,29 @@ func sendTraceDigest(t *testing.T, spec conform.ConfigSpec) (int, string) {
 	}
 	var ev core.EventID
 	for eng.Now() < steps {
+		if run.crash && eng.Now() == crashStep {
+
+			for i := range all {
+				switch i % 10 {
+				case 3:
+					eng.Kill(sim.NodeID(i + 1))
+				case 6, 8:
+					// Nodes 46 and 58 cover their second filter with their
+					// first: withdrawing the first re-propagates a covered
+					// filter, withdrawing the second drops a covering edge.
+					if err := all[i].Unsubscribe(placed[i][i%10/7]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 		if eng.Now()%10 == 0 {
 			ev++
-			if err := all[int(ev)%nodes].Publish(ev, gen.Event()); err != nil {
+			pub := int(ev) % nodes
+			for !eng.Alive(sim.NodeID(pub + 1)) {
+				pub = (pub + 1) % nodes
+			}
+			if err := all[pub].Publish(ev, gen.Event()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -108,21 +146,25 @@ func sendTraceDigest(t *testing.T, spec conform.ConfigSpec) (int, string) {
 }
 
 // TestSendTraceGolden pins the cycle engine's full send trace for one
-// leader-mode and one epidemic (fanout 2) run against the digests in
+// fault-free leader-mode run, one fault-free epidemic (fanout 2) run and
+// one leader-mode run with crashes and unsubscriptions against the digests
+// in
 // testdata/send_trace.digest: any change to what the protocol sends, to
 // whom, when or in what order fails it. A change that alters the protocol
 // on purpose regenerates the digests with
 //
 //	go test ./internal/experiments -run TestSendTraceGolden -update
 func TestSendTraceGolden(t *testing.T) {
-	runs := []conform.ConfigSpec{
-		{Name: "leader", Traversal: core.RootBased, Comm: core.LeaderBased},
-		{Name: "epidemic-k2", Traversal: core.RootBased, Comm: core.Epidemic, Fanout: 2, CrossFanout: 2},
+	leader := conform.ConfigSpec{Name: "leader", Traversal: core.RootBased, Comm: core.LeaderBased}
+	runs := []traceRun{
+		{name: "leader", spec: leader},
+		{name: "epidemic-k2", spec: conform.ConfigSpec{Name: "epidemic-k2", Traversal: core.RootBased, Comm: core.Epidemic, Fanout: 2, CrossFanout: 2}},
+		{name: "leader-crash", spec: leader, crash: true},
 	}
 	var lines []string
-	for _, spec := range runs {
-		sends, digest := sendTraceDigest(t, spec)
-		lines = append(lines, fmt.Sprintf("%s %d %s", spec.Name, sends, digest))
+	for _, run := range runs {
+		sends, digest := sendTraceDigest(t, run)
+		lines = append(lines, fmt.Sprintf("%s %d %s", run.name, sends, digest))
 	}
 	if *updateTraceDigest {
 		if err := os.MkdirAll(filepath.Dir(sendTraceDigestFile), 0o755); err != nil {
