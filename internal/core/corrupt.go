@@ -132,20 +132,20 @@ func (n *Node) ApplyCorruption(op CorruptionOp) bool {
 // preferLed, instances this node leads are tried first.
 func (n *Node) corruptMembership(group string, preferLed bool, eligible func(*membership) bool) *membership {
 	if group != "" {
-		if m := n.st.groups[group]; m != nil && eligible(m) {
+		if m, ok := n.st.groups.get(group); ok && eligible(m) {
 			return m
 		}
 		return nil
 	}
 	if preferLed {
-		for _, key := range n.st.groupOrder {
-			if m := n.st.groups[key]; m.isLeaderHere(n.st.ID()) && eligible(m) {
+		for _, m := range n.st.groups.vals {
+			if m.isLeaderHere(n.st.ID()) && eligible(m) {
 				return m
 			}
 		}
 	}
-	for _, key := range n.st.groupOrder {
-		if m := n.st.groups[key]; eligible(m) {
+	for _, m := range n.st.groups.vals {
+		if eligible(m) {
 			return m
 		}
 	}
@@ -233,8 +233,8 @@ func (n *Node) corruptSplitBrainRoot(op CorruptionOp) bool {
 	self := st.ID()
 	attr := op.Attr
 	if attr == "" {
-		for _, key := range st.groupOrder {
-			a := st.groups[key].af.Attr()
+		for _, gm := range st.groups.vals {
+			a := gm.af.Attr()
 			if owner, ok := st.cfg.Directory.Owner(a); ok && owner != self {
 				attr = a
 				break
@@ -245,16 +245,10 @@ func (n *Node) corruptSplitBrainRoot(op CorruptionOp) bool {
 		return false
 	}
 	af := filter.UniversalFilter(attr)
-	m, ok := st.groups[af.Key()]
+	m, ok := st.groups.get(af.Key())
 	if !ok {
-		m = &membership{
-			af:        af,
-			state:     stateActive,
-			coLeaders: newView(),
-			members:   newView(self),
-			branches:  make(map[string]*Branch),
-		}
-		st.addGroup(af.Key(), m)
+		m = newMembership(af, stateActive, self)
+		st.groups.put(af.Key(), m)
 	}
 	st.setActive(m)
 	m.isRoot = true
@@ -313,8 +307,8 @@ func (n *Node) corruptWidenParent(op CorruptionOp) bool {
 	// filter becomes the predview label.
 	attr := m.af.Attr()
 	var cands []filter.AttrFilter
-	if len(m.branchOrder) > 0 {
-		cands = append(cands, m.branches[m.branchOrder[0]].AF)
+	if m.branches.len() > 0 {
+		cands = append(cands, m.branches.vals[0].AF)
 	}
 	cands = append(cands,
 		filter.MustAttrFilter(attr, filter.EqInt(attr, 1<<40)),

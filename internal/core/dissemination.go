@@ -97,7 +97,7 @@ func (n *disseminationSys) handlePublishTree(msg publishTree) {
 	var m *membership
 	if !msg.AF.IsZero() {
 		var ok bool
-		m, ok = n.groups[msg.AF.Key()]
+		m, ok = n.groups.get(msg.AF.Key())
 		if !ok || m.state != stateActive {
 			// Group construction may still be in flight (the paper blocks
 			// event propagation while a successor group is being set up):
@@ -117,12 +117,10 @@ func (n *disseminationSys) handlePublishTree(msg publishTree) {
 	n.routeEvent(m, msg)
 }
 
-// activeMembershipIn returns a deterministic active membership in the
-// tree of attr, or nil. Iteration follows the maintained group order, the
-// same canonical-key order the seed derived by sorting map keys.
+// activeMembershipIn returns the first active membership in the tree of
+// attr in group order, or nil.
 func (n *disseminationSys) activeMembershipIn(attr string) *membership {
-	for _, key := range n.groupOrder {
-		m := n.groups[key]
+	for _, m := range n.groups.vals {
 		if m.af.Attr() == attr && m.state == stateActive {
 			return m
 		}
@@ -215,13 +213,12 @@ func (n *disseminationSys) groupRelay(m *membership) (sim.NodeID, bool) {
 }
 
 // forwardDown sends the event into every child branch whose filter matches
-// the published value, skipping the branch the event came from. Branch
-// iteration follows the membership's maintained order; contact selection
+// the published value, skipping the branch the event came from. Branches
+// are visited in canonical key order; contact selection
 // fills a small stack buffer per branch (handlePublishTree can recurse when
 // a contact is this node, so the buffer must be per-frame, not shared).
 func (n *disseminationSys) forwardDown(m *membership, msg publishTree, v filter.Value) {
-	for _, k := range m.branchOrder {
-		b := m.branches[k]
+	for _, b := range m.branches.vals {
 		if !b.AF.Matches(v) {
 			continue // prune the whole subtree (Def. 4 guarantees safety)
 		}
@@ -353,7 +350,7 @@ func (n *disseminationSys) diffuseInGroup(m *membership, id EventID, ev filter.E
 
 // handlePublishGroup processes intra-group event traffic.
 func (n *disseminationSys) handlePublishGroup(from sim.NodeID, msg publishGroup) {
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if !ok || m.state != stateActive {
 		return
 	}
@@ -457,7 +454,7 @@ func (n *disseminationSys) gossipHot(now int64) {
 			kept = append(kept, h)
 			continue
 		}
-		m, ok := n.groups[h.afKey]
+		m, ok := n.groups.get(h.afKey)
 		if !ok || m.state != stateActive {
 			continue // left the group: stop offering
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/sim"
@@ -35,7 +36,7 @@ func (n *membershipSys) subscribe(sub filter.Subscription) error {
 	if af.IsEmpty() {
 		return fmt.Errorf("core: subscription %v has an unsatisfiable filter on %q", sub, af.Attr())
 	}
-	if m, ok := n.groups[af.Key()]; ok {
+	if m, ok := n.groups.get(af.Key()); ok {
 		m.subs = append(m.subs, sub)
 		n.indexSub(sub)
 		return nil
@@ -48,7 +49,7 @@ func (n *membershipSys) subscribe(sub filter.Subscription) error {
 		// Covering stop (Def. 3): an already-routed local entry includes
 		// the new filter — record the covered→coverer edge and stop; the
 		// wider group already carries every event the new filter matches.
-		if e, ok := n.covered[af.Key()]; ok {
+		if e, ok := n.covered.get(af.Key()); ok {
 			e.subs = append(e.subs, sub)
 			n.indexSub(sub)
 			return nil
@@ -69,19 +70,18 @@ func (n *membershipSys) subscribe(sub filter.Subscription) error {
 			return nil
 		}
 	}
-	m := &membership{
-		af:        af,
-		subs:      []filter.Subscription{sub},
-		state:     stateJoining,
-		coLeaders: newView(),
-		members:   newView(n.ID()),
-		branches:  make(map[string]*Branch),
-	}
-	n.addGroup(af.Key(), m)
-	n.addJoining(af.Key(), m)
 	n.indexSub(sub)
-	n.startJoin(m)
+	n.joinNew(af, []filter.Subscription{sub})
 	return nil
+}
+
+// joinNew routes subs through a fresh joining membership of af and
+// starts its placement walk.
+func (n *membershipSys) joinNew(af filter.AttrFilter, subs []filter.Subscription) {
+	m := newMembership(af, stateJoining, n.ID())
+	m.subs = subs
+	n.groups.put(af.Key(), m)
+	n.startJoin(m)
 }
 
 // coverCandidate returns the first membership (group order) whose filter
@@ -92,8 +92,7 @@ func (n *membershipSys) subscribe(sub filter.Subscription) error {
 // memberships never qualify: the root's members are routing mirrors, not
 // subscribers — events are not diffused to them (dissemination.go).
 func (n *membershipSys) coverCandidate(af filter.AttrFilter) *membership {
-	for _, key := range n.groupOrder {
-		m := n.groups[key]
+	for _, m := range n.groups.vals {
 		if m.isRoot || m.af.IsUniversal() {
 			continue
 		}
@@ -104,14 +103,13 @@ func (n *membershipSys) coverCandidate(af filter.AttrFilter) *membership {
 	return nil
 }
 
-// widenCandidate returns the first in-flight walk (join order) on af's
+// widenCandidate returns the first in-flight walk (group order) on af's
 // attribute that af strictly includes and that is still pure subscriber
 // state, or nil — a narrower sibling that can fold under the new, wider
 // filter instead of being routed on its own.
 func (n *membershipSys) widenCandidate(af filter.AttrFilter) *membership {
-	for _, key := range n.joinOrder {
-		jm := n.joining[key]
-		if jm.isRoot || jm.af.IsUniversal() || jm.af.Attr() != af.Attr() {
+	for _, jm := range n.groups.vals {
+		if jm.state != stateJoining || jm.isRoot || jm.af.IsUniversal() || jm.af.Attr() != af.Attr() {
 			continue
 		}
 		if af.StrictlyIncludes(jm.af) && coverFoldable(jm) {
@@ -138,8 +136,7 @@ func (n *membershipSys) foldWalkUnder(jm *membership, wider filter.AttrFilter, s
 	jm.af = wider
 	jm.subs = []filter.Subscription{sub}
 	jm.retries = 0
-	n.addGroup(wider.Key(), jm)
-	n.addJoining(wider.Key(), jm)
+	n.groups.put(wider.Key(), jm)
 	n.startJoin(jm)
 }
 
@@ -151,9 +148,9 @@ func (n *membershipSys) unsubscribe(sub filter.Subscription) error {
 		return err
 	}
 	af := filters[0]
-	m, ok := n.groups[af.Key()]
+	m, ok := n.groups.get(af.Key())
 	if !ok {
-		if e, okC := n.covered[af.Key()]; okC {
+		if e, okC := n.covered.get(af.Key()); okC {
 			return n.unsubscribeCovered(e, sub)
 		}
 		return fmt.Errorf("core: not subscribed with filter %v", af)
@@ -204,8 +201,8 @@ func (n *membershipSys) unsubscribeCovered(e *coverEntry, sub filter.Subscriptio
 	if len(e.subs) > 0 {
 		return nil
 	}
-	n.removeCover(e.af.Key())
-	if cm, ok := n.groups[e.coverer]; ok && len(cm.subs) == 0 && !n.hasCoverEdges(e.coverer) {
+	n.covered.del(e.af.Key())
+	if cm, ok := n.groups.get(e.coverer); ok && len(cm.subs) == 0 && !n.hasCoverEdges(e.coverer) {
 		n.leaveGroup(cm)
 	}
 	return nil
@@ -216,24 +213,13 @@ func (n *membershipSys) unsubscribeCovered(e *coverEntry, sub filter.Subscriptio
 // filter, re-walked from scratch. The subscriptions never left the
 // delivery index, so only the routing position is rebuilt.
 func (n *membershipSys) repropagateCovered(covererKey string) {
-	keys := append([]string(nil), n.coverOrder...)
-	for _, key := range keys {
-		e, ok := n.covered[key]
+	for _, key := range slices.Clone(n.covered.keys) {
+		e, ok := n.covered.get(key)
 		if !ok || e.coverer != covererKey {
 			continue
 		}
-		n.removeCover(key)
-		m := &membership{
-			af:        e.af,
-			subs:      e.subs,
-			state:     stateJoining,
-			coLeaders: newView(),
-			members:   newView(n.ID()),
-			branches:  make(map[string]*Branch),
-		}
-		n.addGroup(e.af.Key(), m)
-		n.addJoining(e.af.Key(), m)
-		n.startJoin(m)
+		n.covered.del(key)
+		n.joinNew(e.af, e.subs)
 	}
 }
 
@@ -248,29 +234,19 @@ func (n *membershipSys) recoverOrphanedCovers() {
 		return
 	}
 	n.coversStale = false
-	keys := lazyKeys{keys: n.coverOrder}
+	keys := lazyKeys{keys: n.covered.keys}
 	for i := 0; i < len(keys.keys); i++ {
 		key := keys.keys[i]
-		e, ok := n.covered[key]
+		e, ok := n.covered.get(key)
 		if !ok {
 			continue
 		}
-		if _, alive := n.groups[e.coverer]; alive {
+		if _, alive := n.groups.get(e.coverer); alive {
 			continue
 		}
 		keys.own()
-		n.removeCover(key)
-		m := &membership{
-			af:        e.af,
-			subs:      e.subs,
-			state:     stateJoining,
-			coLeaders: newView(),
-			members:   newView(n.ID()),
-			branches:  make(map[string]*Branch),
-		}
-		n.addGroup(e.af.Key(), m)
-		n.addJoining(e.af.Key(), m)
-		n.startJoin(m)
+		n.covered.del(key)
+		n.joinNew(e.af, e.subs)
 	}
 }
 
@@ -323,19 +299,13 @@ func (n *membershipSys) startJoin(m *membership) {
 // ensureRoot creates the root membership for an attribute this node owns.
 func (n *membershipSys) ensureRoot(attr string) *membership {
 	af := filter.UniversalFilter(attr)
-	if m, ok := n.groups[af.Key()]; ok {
+	if m, ok := n.groups.get(af.Key()); ok {
 		return m
 	}
-	m := &membership{
-		af:        af,
-		state:     stateActive,
-		leader:    n.ID(),
-		coLeaders: newView(),
-		members:   newView(n.ID()),
-		branches:  make(map[string]*Branch),
-		isRoot:    true,
-	}
-	n.addGroup(af.Key(), m)
+	m := newMembership(af, stateActive, n.ID())
+	m.leader = n.ID()
+	m.isRoot = true
+	n.groups.put(af.Key(), m)
 	n.cfg.Directory.AddContact(attr, n.ID())
 	return m
 }
@@ -360,16 +330,13 @@ func (n *membershipSys) selfAnchor(m *membership) {
 // retryJoins re-issues findGroup walks that have gone unanswered — lost to
 // crashed handlers or to in-flight reconfiguration.
 func (n *membershipSys) retryJoins(now int64) {
-	if len(n.joining) == 0 {
-		return
-	}
 	const retryAfter = 30
 	// startJoin can settle or drop walks synchronously (a local walk ends
 	// in acceptMember): own the keys before it and re-check each entry.
-	keys := lazyKeys{keys: n.joinOrder}
+	keys := lazyKeys{keys: n.groups.keys}
 	for i := 0; i < len(keys.keys); i++ {
-		m, ok := n.joining[keys.keys[i]]
-		if ok && now-m.sentAt >= retryAfter {
+		m, ok := n.groups.get(keys.keys[i])
+		if ok && m.state == stateJoining && now-m.sentAt >= retryAfter {
 			keys.own()
 			n.startJoin(m)
 		}
@@ -381,7 +348,7 @@ func (n *membershipSys) retryJoins(now int64) {
 func (n *membershipSys) handleFindGroup(from sim.NodeID, f findGroup) {
 	var m *membership
 	if !f.At.IsZero() {
-		if tm, ok := n.groups[f.At.Key()]; ok {
+		if tm, ok := n.groups.get(f.At.Key()); ok {
 			switch {
 			case tm.state == stateActive:
 				m = tm
@@ -420,7 +387,7 @@ func (n *membershipSys) handleFindGroup(from sim.NodeID, f findGroup) {
 	if m == nil {
 		m = n.walkMembership(f)
 		if from != n.ID() && !f.At.IsZero() && (m == nil || n.cfg.Comm == LeaderBased) {
-			if _, hosts := n.groups[f.At.Key()]; !hosts {
+			if _, hosts := n.groups.get(f.At.Key()); !hosts {
 				// We were addressed as a contact of a group we do not
 				// hold: make the sender drop us from its branch, or the
 				// stale entry routes every retry back here forever. In
@@ -460,14 +427,12 @@ func (n *membershipSys) localFindGroup(f findGroup) {
 func (n *membershipSys) walkMembership(f findGroup) *membership {
 	attr := f.AF.Attr()
 	// Prefer the root membership if we host it.
-	if m, ok := n.groups[filter.UniversalFilter(attr).Key()]; ok {
+	if m, ok := n.groups.get(filter.UniversalFilter(attr).Key()); ok {
 		return m
 	}
 	// Otherwise any active membership in that tree (generic traversal may
-	// land anywhere; deterministic pick for reproducibility — the
-	// maintained group order matches the seed's sorted-key iteration).
-	for _, key := range n.groupOrder {
-		m := n.groups[key]
+	// land anywhere; the first in group order, for reproducibility).
+	for _, m := range n.groups.vals {
 		if m.af.Attr() == attr && m.state == stateActive {
 			return m
 		}
@@ -564,8 +529,8 @@ func (n *membershipSys) walkFrom(m *membership, from sim.NodeID, f findGroup) {
 				// The prober sits where the walk says it should: just make
 				// sure the branch entry exists (it may have been lost to
 				// healing), never create a second instance.
-				if _, okB := m.branches[f.AF.Key()]; !okB {
-					m.setBranch(f.AF.Key(), &Branch{AF: f.AF, Nodes: []sim.NodeID{f.Subscriber}})
+				if _, okB := m.branches.get(f.AF.Key()); !okB {
+					m.branches.put(f.AF.Key(), &Branch{AF: f.AF, Nodes: []sim.NodeID{f.Subscriber}})
 				}
 				return
 			}
@@ -600,17 +565,14 @@ func (n *membershipSys) walkFrom(m *membership, from sim.NodeID, f findGroup) {
 // a re-attaching subscriber then re-anchors its existing group here via
 // CREATE GROUP, which overwrites the stale branch entry.
 func (n *membershipSys) routeDown(m *membership, f findGroup) (sim.NodeID, filter.AttrFilter, bool) {
-	keys := m.branchOrder
-	for _, k := range keys {
-		b := m.branches[k]
+	for _, b := range m.branches.vals {
 		if b.AF.SameExtension(f.AF) {
 			if c := n.liveContact(b, f.Subscriber); c != 0 {
 				return c, b.AF, true
 			}
 		}
 	}
-	for _, k := range keys {
-		b := m.branches[k]
+	for _, b := range m.branches.vals {
 		if b.AF.StrictlyIncludes(f.AF) {
 			if c := n.liveContact(b, f.Subscriber); c != 0 {
 				return c, b.AF, true
@@ -633,7 +595,7 @@ func (n *membershipSys) liveContact(b *Branch, exclude sim.NodeID) sim.NodeID {
 			// on every retry (corruption harness finding). Skipping it
 			// stops the walk at the current group, where CREATE GROUP
 			// re-anchors and overwrites the entry.
-			if cm, hosts := n.groups[b.AF.Key()]; !hosts || cm.state != stateActive {
+			if cm, hosts := n.groups.get(b.AF.Key()); !hosts || cm.state != stateActive {
 				continue
 			}
 		}
@@ -648,7 +610,7 @@ func (n *membershipSys) liveContact(b *Branch, exclude sim.NodeID) sim.NodeID {
 // shared with other nodes.
 func coverFoldable(m *membership) bool {
 	return m.state == stateJoining && !m.isRoot && m.members.len() <= 1 &&
-		m.coLeaders.len() == 0 && len(m.branches) == 0 && m.leader == 0
+		m.coLeaders.len() == 0 && m.branches.len() == 0 && m.leader == 0
 }
 
 // acceptMember adds the subscriber to this group and answers SUBSCRIBE TO.
@@ -659,7 +621,7 @@ func (n *membershipSys) acceptMember(m *membership, sub sim.NodeID, wanted filte
 		// syntactically): merge the pending membership into the settled
 		// one. Cover edges riding on the pending label follow it.
 		if wanted.Key() != m.af.Key() {
-			if jm, ok := n.groups[wanted.Key()]; ok && jm != m {
+			if jm, ok := n.groups.get(wanted.Key()); ok && jm != m {
 				m.subs = append(m.subs, jm.subs...)
 				n.dropMembership(wanted.Key())
 				n.retargetCoverEdges(wanted.Key(), m.af.Key())
@@ -745,14 +707,14 @@ func (n *membershipSys) memberSample(m *membership) []sim.NodeID {
 // by it (CREATE GROUP).
 func (n *membershipSys) createChild(m *membership, f findGroup) {
 	var adopted []Branch
-	for _, k := range append([]string(nil), m.branchOrder...) {
-		b := m.branches[k]
-		if f.AF.StrictlyIncludes(b.AF) {
-			adopted = append(adopted, cloneBranch(*b))
-			m.deleteBranch(k)
+	m.branches.deleteIf(func(b *Branch) bool {
+		if !f.AF.StrictlyIncludes(b.AF) {
+			return false
 		}
-	}
-	m.setBranch(f.AF.Key(), &Branch{AF: f.AF, Nodes: []sim.NodeID{f.Subscriber}})
+		adopted = append(adopted, cloneBranch(*b))
+		return true
+	})
+	m.branches.put(f.AF.Key(), &Branch{AF: f.AF, Nodes: []sim.NodeID{f.Subscriber}})
 	parentContacts := append([]sim.NodeID{n.ID()}, m.coLeaders.headAfter(n.cfg.K-1)...)
 	msg := createGroup{
 		AF:      f.AF,
@@ -770,7 +732,7 @@ func (n *membershipSys) createChild(m *membership, f findGroup) {
 // handleCreateGroup installs this node as the founding member (and leader)
 // of a new group.
 func (n *membershipSys) handleCreateGroup(from sim.NodeID, msg createGroup) {
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if !ok {
 		// We no longer want this group (raced unsubscribe): dissolve it
 		// right back so the parent does not keep a dangling branch.
@@ -786,7 +748,7 @@ func (n *membershipSys) handleCreateGroup(from sim.NodeID, msg createGroup) {
 	m.parent = msg.Parent
 	for _, b := range msg.Adopted {
 		nb := cloneBranch(b)
-		m.setBranch(b.AF.Key(), &nb)
+		m.branches.put(b.AF.Key(), &nb)
 		// Tell the adopted groups about their new predecessor.
 		np := Branch{AF: m.af, Nodes: []sim.NodeID{n.ID()}}
 		for _, c := range b.Nodes {
@@ -799,7 +761,7 @@ func (n *membershipSys) handleCreateGroup(from sim.NodeID, msg createGroup) {
 
 // handleJoinAccept finalises a SUBSCRIBE TO.
 func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if ok && m.state == stateActive && n.cfg.Comm == LeaderBased &&
 		m.isLeaderHere(n.ID()) && msg.Leader != 0 && msg.Leader != n.ID() {
 		// A probe (or duplicate join) found another instance of our group.
@@ -826,14 +788,11 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 		// we asked with: re-key our membership to the group's filter. Cover
 		// edges riding on the walking label follow it — the canonical
 		// filter has the same extension, so it still includes them.
-		if jm, okW := n.groups[msg.Wanted.Key()]; okW {
+		if jm, okW := n.groups.get(msg.Wanted.Key()); okW {
 			n.dropMembership(msg.Wanted.Key())
 			n.retargetCoverEdges(msg.Wanted.Key(), msg.AF.Key())
 			jm.af = msg.AF
-			n.addGroup(msg.AF.Key(), jm)
-			if jm.state == stateJoining {
-				n.addJoining(msg.AF.Key(), jm)
-			}
+			n.groups.put(msg.AF.Key(), jm)
 			m, ok = jm, true
 		}
 	}
@@ -903,7 +862,7 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 
 // handleJoinNotify keeps leader-mode co-leaders' groupview in sync.
 func (n *membershipSys) handleJoinNotify(msg joinNotify) {
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if !ok {
 		return
 	}
@@ -918,7 +877,7 @@ func (n *membershipSys) handleJoinNotify(msg joinNotify) {
 
 // handleGossipSub spreads epidemic membership updates (GOSSIP SUB).
 func (n *membershipSys) handleGossipSub(msg gossipSub) {
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if !ok {
 		return
 	}
@@ -1046,8 +1005,7 @@ func (n *membershipSys) notifyNeighboursOfContacts(m *membership, contacts []sim
 	for _, p := range m.parent.Nodes {
 		n.send(p, branchUpdate{Parent: m.parent.AF, Child: cloneBranch(self)})
 	}
-	for _, k := range m.branchOrder {
-		b := m.branches[k]
+	for _, b := range m.branches.vals {
 		for _, c := range b.Nodes {
 			n.send(c, adopt{AF: b.AF, NewParent: cloneBranch(self)})
 		}
@@ -1060,11 +1018,11 @@ func (n *membershipSys) handleLeave(msg leave) {
 	if len(msg.Branches) > 0 {
 		m := n.membershipWithBranch(msg.AF)
 		if m != nil {
-			m.deleteBranch(msg.AF.Key())
+			m.branches.del(msg.AF.Key())
 			np := Branch{AF: m.af, Nodes: append([]sim.NodeID{n.ID()}, m.coLeaders.ids()...)}
 			for _, b := range msg.Branches {
 				nb := cloneBranch(b)
-				m.setBranch(b.AF.Key(), &nb)
+				m.branches.put(b.AF.Key(), &nb)
 				for _, c := range b.Nodes {
 					n.send(c, adopt{AF: b.AF, NewParent: cloneBranch(np)})
 				}
@@ -1072,12 +1030,12 @@ func (n *membershipSys) handleLeave(msg leave) {
 			return
 		}
 	}
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if !ok {
 		// Maybe we are the parent: a childless last member left.
 		if pm := n.membershipWithBranch(msg.AF); pm != nil {
-			if b := pm.branches[msg.AF.Key()]; b != nil && !b.dropNode(msg.Member) {
-				pm.deleteBranch(msg.AF.Key())
+			if b, okB := pm.branches.get(msg.AF.Key()); okB && !b.dropNode(msg.Member) {
+				pm.branches.del(msg.AF.Key())
 			}
 		}
 		return
@@ -1101,29 +1059,29 @@ func (n *membershipSys) handleLeave(msg leave) {
 
 // handleBranchUpdate refreshes the contact list of one child branch.
 func (n *membershipSys) handleBranchUpdate(msg branchUpdate) {
-	m, ok := n.groups[msg.Parent.Key()]
+	m, ok := n.groups.get(msg.Parent.Key())
 	if !ok {
 		m = n.membershipWithBranch(msg.Child.AF)
 		if m == nil {
 			return
 		}
 	}
-	if b, ok := m.branches[msg.Child.AF.Key()]; ok {
+	if b, ok := m.branches.get(msg.Child.AF.Key()); ok {
 		*b = cloneBranch(msg.Child)
 		return
 	}
 	// Unknown branch: accept it if it belongs below us (healing).
 	if m.af.IsUniversal() || m.af.StrictlyIncludes(msg.Child.AF) {
 		nb := cloneBranch(msg.Child)
-		m.setBranch(msg.Child.AF.Key(), &nb)
+		m.branches.put(msg.Child.AF.Key(), &nb)
 	}
 }
 
 // membershipWithBranch finds the membership holding a branch for af.
 func (n *membershipSys) membershipWithBranch(af filter.AttrFilter) *membership {
-	for _, key := range n.groupOrder {
-		m := n.groups[key]
-		if _, ok := m.branches[af.Key()]; ok {
+	key := af.Key()
+	for _, m := range n.groups.vals {
+		if _, ok := m.branches.get(key); ok {
 			return m
 		}
 	}
@@ -1144,8 +1102,7 @@ func (n *membershipSys) gcRumours(now int64) {
 // long-running open-system nodes do not accumulate a mark for every
 // member that ever left. Same sweep cadence as the other dedup memories.
 func (n *membershipSys) gcDeparted(now int64) {
-	for _, key := range n.groupOrder {
-		m := n.groups[key]
+	for _, m := range n.groups.vals {
 		if m.departed == nil {
 			continue
 		}

@@ -35,17 +35,12 @@ type Node struct {
 // (field promotion keeps the hot paths free of interface dispatch), so
 // the boundary holds by convention — state-mutation helpers listed here,
 // read access via the promoted fields documented in state.go, everything
-// else via an explicit sibling-subsystem reference — and is exercised by
-// the order-invariant tests, which fail when a mutation bypasses the
-// maintaining helpers.
+// else via an explicit sibling-subsystem reference. The group, covering
+// and branch tables (state.go) are written only through their own
+// get/put/del.
 type kernelAPI interface {
 	ID() sim.NodeID
 	send(to sim.NodeID, msg message)
-	addGroup(key string, m *membership)
-	removeGroup(key string)
-	addJoining(key string, m *membership)
-	removeJoining(key string)
-	snapshotGroupKeys() []string
 	setActive(m *membership)
 	setJoining(m *membership)
 	dropMembership(key string)
@@ -53,7 +48,6 @@ type kernelAPI interface {
 	unindexSub(sub filter.Subscription)
 	refillLive(v *view, ids []sim.NodeID)
 	addCover(key string, e *coverEntry)
-	removeCover(key string)
 	hasCoverEdges(covererKey string) bool
 	retargetCoverEdges(oldKey, newKey string)
 }
@@ -80,8 +74,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		st: state{
 			cfg:        cfg,
-			groups:     make(map[string]*membership),
-			joining:    make(map[string]*membership),
 			subsByAttr: make(map[string][]indexedSub),
 			lastSeen:   make(map[sim.NodeID]int64),
 			suspected:  make(map[sim.NodeID]bool),
@@ -126,11 +118,14 @@ func (n *Node) ID() sim.NodeID { return n.st.ID() }
 // Memberships returns the canonical keys of the groups the node currently
 // belongs to (diagnostic/test helper).
 func (n *Node) Memberships() []string {
-	return append([]string(nil), n.st.groupOrder...)
+	return append([]string(nil), n.st.groups.keys...)
 }
 
 // group returns the membership for the canonical key (test helper).
-func (n *Node) group(key string) *membership { return n.st.groups[key] }
+func (n *Node) group(key string) *membership {
+	m, _ := n.st.groups.get(key)
+	return m
+}
 
 // MembershipInfo is a diagnostic snapshot of one group membership.
 type MembershipInfo struct {
@@ -147,13 +142,13 @@ type MembershipInfo struct {
 // Inspect returns diagnostic snapshots of every membership, keyed by
 // canonical filter key (for tools and tests; not part of the protocol).
 func (n *Node) Inspect() map[string]MembershipInfo {
-	out := make(map[string]MembershipInfo, len(n.st.groups))
-	for key, m := range n.st.groups {
+	out := make(map[string]MembershipInfo, n.st.groups.len())
+	for i, m := range n.st.groups.vals {
 		lifecycle := "active"
 		if m.state == stateJoining {
 			lifecycle = "joining"
 		}
-		out[key] = MembershipInfo{
+		out[n.st.groups.keys[i]] = MembershipInfo{
 			Filter:    m.af.String(),
 			State:     lifecycle,
 			IsRoot:    m.isRoot,
@@ -161,7 +156,7 @@ func (n *Node) Inspect() map[string]MembershipInfo {
 			CoLeaders: m.coLeaders.ids(),
 			Members:   m.members.ids(),
 			Parent:    append([]sim.NodeID(nil), m.parent.Nodes...),
-			Branches:  len(m.branches),
+			Branches:  m.branches.len(),
 		}
 	}
 	return out
@@ -171,12 +166,11 @@ func (n *Node) Inspect() map[string]MembershipInfo {
 // routed ones first (group order), then the covered ones (cover order).
 func (n *Node) Subscriptions() []filter.Subscription {
 	var out []filter.Subscription
-	for _, key := range n.st.groupOrder {
-		m := n.st.groups[key]
+	for _, m := range n.st.groups.vals {
 		out = append(out, m.subs...)
 	}
-	for _, key := range n.st.coverOrder {
-		out = append(out, n.st.covered[key].subs...)
+	for _, e := range n.st.covered.vals {
+		out = append(out, e.subs...)
 	}
 	return out
 }
@@ -195,12 +189,12 @@ type CoverEdge struct {
 // every Coverer names a held membership whose filter strictly includes
 // Covered.
 func (n *Node) CoverTable() map[string]CoverEdge {
-	if len(n.st.covered) == 0 {
+	if n.st.covered.len() == 0 {
 		return nil
 	}
-	out := make(map[string]CoverEdge, len(n.st.covered))
-	for key, e := range n.st.covered {
-		out[key] = CoverEdge{Covered: e.af, Coverer: e.coverer, Subs: len(e.subs)}
+	out := make(map[string]CoverEdge, n.st.covered.len())
+	for i, e := range n.st.covered.vals {
+		out[n.st.covered.keys[i]] = CoverEdge{Covered: e.af, Coverer: e.coverer, Subs: len(e.subs)}
 	}
 	return out
 }
@@ -213,17 +207,16 @@ func (n *Node) CoverTable() map[string]CoverEdge {
 func (n *Node) RoutingStateBytes() int64 {
 	const idBytes = 8
 	var total int64
-	for _, key := range n.st.groupOrder {
-		m := n.st.groups[key]
-		total += int64(len(key))
+	for i, m := range n.st.groups.vals {
+		total += int64(len(n.st.groups.keys[i]))
 		total += int64(m.members.len()+m.coLeaders.len()+1) * idBytes // views + leader
 		total += int64(len(m.parent.AF.Key())) + int64(len(m.parent.Nodes))*idBytes
-		for _, bk := range m.branchOrder {
-			total += int64(len(bk)) + int64(len(m.branches[bk].Nodes))*idBytes
+		for j, b := range m.branches.vals {
+			total += int64(len(m.branches.keys[j])) + int64(len(b.Nodes))*idBytes
 		}
 	}
-	for _, key := range n.st.coverOrder {
-		total += int64(len(key)) + int64(len(n.st.covered[key].coverer))
+	for i, e := range n.st.covered.vals {
+		total += int64(len(n.st.covered.keys[i])) + int64(len(e.coverer))
 	}
 	return total
 }
@@ -239,18 +232,6 @@ func TreeForwards(msg any) int64 {
 		return 1
 	}
 	return 0
-}
-
-// InspectBranches returns every branch this node holds across its
-// memberships, keyed by the child filter's canonical key (diagnostics).
-func (n *Node) InspectBranches() map[string][]sim.NodeID {
-	out := make(map[string][]sim.NodeID)
-	for _, m := range n.st.groups {
-		for key, b := range m.branches {
-			out[key] = append([]sim.NodeID(nil), b.Nodes...)
-		}
-	}
-	return out
 }
 
 // Subscribe registers the subscription with the overlay. The node joins

@@ -4,58 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"github.com/dps-overlay/dps/internal/sim"
 )
 
-// These tests pin the incremental-ordering refactor: deterministic
-// iteration over groups and branches now comes from maintained sorted
-// slices, not from re-sorting map keys per call. The invariant below is
-// what every routing loop relies on.
-
-// assertOrderInvariants checks that a node's maintained iteration orders
-// exactly mirror the sorted key sets of the maps they index, and that the
-// delivery index holds precisely the node's live subscriptions.
-func assertOrderInvariants(t *testing.T, id sim.NodeID, n *Node) {
+// assertDeliveryIndex checks that a node's delivery index holds precisely
+// its live subscriptions, direct and covered, as multisets of identities.
+func assertDeliveryIndex(t *testing.T, id sim.NodeID, n *Node) {
 	t.Helper()
-	wantGroups := make([]string, 0, len(n.st.groups))
-	for k := range n.st.groups {
-		wantGroups = append(wantGroups, k)
-	}
-	sort.Strings(wantGroups)
-	if !reflect.DeepEqual(append([]string{}, n.st.groupOrder...), wantGroups) {
-		t.Fatalf("node %d: groupOrder %q does not match sorted group keys %q", id, n.st.groupOrder, wantGroups)
-	}
-	wantJoin := make([]string, 0, len(n.st.joining))
-	for k := range n.st.joining {
-		wantJoin = append(wantJoin, k)
-	}
-	sort.Strings(wantJoin)
-	if !reflect.DeepEqual(append([]string{}, n.st.joinOrder...), wantJoin) {
-		t.Fatalf("node %d: joinOrder %q does not match sorted joining keys %q", id, n.st.joinOrder, wantJoin)
-	}
-	wantCover := make([]string, 0, len(n.st.covered))
-	for k := range n.st.covered {
-		wantCover = append(wantCover, k)
-	}
-	sort.Strings(wantCover)
-	if !reflect.DeepEqual(append([]string{}, n.st.coverOrder...), wantCover) {
-		t.Fatalf("node %d: coverOrder %q does not match sorted covered keys %q", id, n.st.coverOrder, wantCover)
-	}
-	for gk, m := range n.st.groups {
-		wantBranches := make([]string, 0, len(m.branches))
-		for k := range m.branches {
-			wantBranches = append(wantBranches, k)
-		}
-		sort.Strings(wantBranches)
-		if !reflect.DeepEqual(append([]string{}, m.branchOrder...), wantBranches) {
-			t.Fatalf("node %d group %q: branchOrder %q does not match sorted branch keys %q",
-				id, gk, m.branchOrder, wantBranches)
-		}
-	}
-	// Delivery index ⇔ live subscriptions, as multisets of identities.
 	indexed := map[string]int{}
 	for attr, list := range n.st.subsByAttr {
 		if len(list) == 0 {
@@ -122,10 +79,10 @@ func churnCluster(t *testing.T, mutate func(*Config)) *cluster {
 	return c
 }
 
-// TestMaintainedOrderInvariant runs the full protocol through churn and
-// asserts the maintained orderings and the delivery index stayed in sync
-// with the maps, for every live node, in every mode combination.
-func TestMaintainedOrderInvariant(t *testing.T) {
+// TestDeliveryIndexInvariant runs the full protocol through churn and
+// asserts the delivery index stayed in sync with the live subscriptions,
+// for every live node, in every mode combination.
+func TestDeliveryIndexInvariant(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -141,16 +98,15 @@ func TestMaintainedOrderInvariant(t *testing.T) {
 				if !c.engine.Alive(id) {
 					continue
 				}
-				assertOrderInvariants(t, id, node)
+				assertDeliveryIndex(t, id, node)
 			}
 		})
 	}
 }
 
 // TestProtocolTraceDeterminism runs the same seeded scenario twice and
-// requires identical contacted/delivered traces — the incremental
-// orderings must reproduce exactly the iteration order the seed derived
-// by sorting map keys on every call.
+// requires identical contacted/delivered traces: every loop over groups
+// and branches runs in the tables' canonical key order.
 func TestProtocolTraceDeterminism(t *testing.T) {
 	run := func() (map[EventID]map[sim.NodeID]bool, map[EventID]map[sim.NodeID]bool) {
 		c := churnCluster(t, nil)

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +130,92 @@ func TestViewSetInvariantProperty(t *testing.T) {
 			for x := sim.NodeID(0); x < 26; x++ {
 				if v.has(x) != m.set[x] {
 					t.Logf("has(%d) = %v, model %v", x, v.has(x), m.set[x])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// tableKey draws a key from the 40 strings of at most three letters over
+// "ab:", so prefixes and the empty key both occur.
+func tableKey(r *rand.Rand) string {
+	b := make([]byte, r.Intn(4))
+	for i := range b {
+		b[i] = "ab:"[r.Intn(3)]
+	}
+	return string(b)
+}
+
+// Tables must behave exactly like a map whose keys are sorted on demand,
+// under arbitrary put/del/get/deleteIf sequences: the same get and del
+// answers, deleteIf asked in key order, and after every op keys that are
+// the sorted map keys with each value paired to its key.
+func TestTableMatchesSortedMapProperty(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 2000}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var tb table[int]
+		ref := map[string]int{}
+		for op := 0; op < 80; op++ {
+			k := tableKey(r)
+			switch r.Intn(6) {
+			case 0, 1, 2:
+				v := r.Intn(1000)
+				tb.put(k, v)
+				ref[k] = v
+			case 3:
+				_, had := ref[k]
+				delete(ref, k)
+				if tb.del(k) != had {
+					t.Logf("del(%q) answers %v, model %v", k, !had, had)
+					return false
+				}
+			case 4:
+				v, ok := tb.get(k)
+				want, wok := ref[k]
+				if v != want || ok != wok {
+					t.Logf("get(%q) = %d, %v; model %d, %v", k, v, ok, want, wok)
+					return false
+				}
+			default:
+				mod := 2 + r.Intn(3)
+				want := slices.Clone(tb.vals)
+				var asked []int
+				tb.deleteIf(func(v int) bool {
+					asked = append(asked, v)
+					return v%mod == 0
+				})
+				if !slices.Equal(asked, want) {
+					t.Logf("deleteIf asked %v, want key order %v", asked, want)
+					return false
+				}
+				for rk, v := range ref {
+					if v%mod == 0 {
+						delete(ref, rk)
+					}
+				}
+			}
+			keys := make([]string, 0, len(ref))
+			for rk := range ref {
+				keys = append(keys, rk)
+			}
+			sort.Strings(keys)
+			if !slices.Equal(tb.keys, keys) || tb.len() != len(keys) {
+				t.Logf("keys %q, model %q", tb.keys, keys)
+				return false
+			}
+			if len(tb.vals) != len(tb.keys) {
+				t.Logf("%d values for %d keys", len(tb.vals), len(tb.keys))
+				return false
+			}
+			for i, rk := range keys {
+				if tb.vals[i] != ref[rk] {
+					t.Logf("value under %q is %d, model %d", rk, tb.vals[i], ref[rk])
 					return false
 				}
 			}

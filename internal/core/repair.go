@@ -69,37 +69,20 @@ func (n *repairSys) hbPeriod() int64 {
 func (n *repairSys) heartbeatSendTargets() []sim.NodeID {
 	set := n.hbScratch
 	set.reset()
-	for _, key := range n.groupOrder {
-		m := n.groups[key]
+	for _, m := range n.groups.vals {
 		if m.state != stateActive {
 			continue
 		}
 		switch n.cfg.Comm {
 		case Epidemic:
-			for _, p := range m.parent.Nodes {
-				set.add(p)
-			}
-			for _, k := range m.branchOrder {
-				for _, c := range m.branches[k].Nodes {
-					set.add(c)
-				}
-			}
-			// Probe a bounded slice of the partial group view.
-			set.addHeadAfter(m.members, n.cfg.K, n.ID())
+			n.addEpidemicPeers(set, m)
 		default:
 			switch {
 			case m.isLeaderHere(n.ID()):
 				for _, id := range m.members.list {
 					set.add(id)
 				}
-				for _, p := range m.parent.Nodes {
-					set.add(p)
-				}
-				for _, k := range m.branchOrder {
-					for _, c := range m.branches[k].Nodes {
-						set.add(c)
-					}
-				}
+				addTreeContacts(set, m)
 			case m.coLeaders.has(n.ID()) && m.leader != 0:
 				set.add(m.leader)
 			}
@@ -115,23 +98,14 @@ func (n *repairSys) heartbeatSendTargets() []sim.NodeID {
 func (n *repairSys) expectedPeers() []sim.NodeID {
 	set := n.hbScratch
 	set.reset()
-	for _, key := range n.groupOrder {
-		m := n.groups[key]
+	for _, m := range n.groups.vals {
 		if m.state != stateActive {
 			continue
 		}
 		switch n.cfg.Comm {
 		case Epidemic:
 			// Symmetric probing: we judge exactly whom we probe.
-			for _, p := range m.parent.Nodes {
-				set.add(p)
-			}
-			for _, k := range m.branchOrder {
-				for _, c := range m.branches[k].Nodes {
-					set.add(c)
-				}
-			}
-			set.addHeadAfter(m.members, n.cfg.K, n.ID())
+			n.addEpidemicPeers(set, m)
 		default:
 			if m.leader != 0 && !m.isLeaderHere(n.ID()) {
 				set.add(m.leader) // the leader heartbeats all members
@@ -145,8 +119,7 @@ func (n *repairSys) expectedPeers() []sim.NodeID {
 				for _, p := range m.parent.Nodes[:min1(len(m.parent.Nodes))] {
 					set.add(p)
 				}
-				for _, k := range m.branchOrder {
-					b := m.branches[k]
+				for _, b := range m.branches.vals {
 					for _, c := range b.Nodes[:min1(len(b.Nodes))] {
 						set.add(c)
 					}
@@ -156,6 +129,39 @@ func (n *repairSys) expectedPeers() []sim.NodeID {
 	}
 	set.remove(n.ID())
 	return set.list
+}
+
+// addEpidemicPeers adds the peers an epidemic member of m probes: its
+// tree contacts and a bounded slice of its partial group view.
+func (n *repairSys) addEpidemicPeers(set *view, m *membership) {
+	addTreeContacts(set, m)
+	set.addHeadAfter(m.members, n.cfg.K, n.ID())
+}
+
+// addTreeContacts adds m's predview and succview contacts to set.
+func addTreeContacts(set *view, m *membership) {
+	for _, p := range m.parent.Nodes {
+		set.add(p)
+	}
+	for _, b := range m.branches.vals {
+		for _, c := range b.Nodes {
+			set.add(c)
+		}
+	}
+}
+
+// graceExpired runs m's leaderless grace timer: it starts the timer when
+// none is running and otherwise reports, stopping it, whether the timer
+// ran past timeout.
+func graceExpired(m *membership, now, timeout int64) bool {
+	switch {
+	case m.leaderlessAt == 0:
+		m.leaderlessAt = now
+	case now-m.leaderlessAt > timeout:
+		m.leaderlessAt = 0
+		return true
+	}
+	return false
 }
 
 func min1(n int) int {
@@ -188,10 +194,10 @@ func (n *repairSys) heartbeatRound(now int64) {
 	// reattach can create the root membership synchronously: own the keys
 	// before any repair call.
 	if n.cfg.Comm == LeaderBased {
-		keys := lazyKeys{keys: n.groupOrder}
+		keys := lazyKeys{keys: n.groups.keys}
 		for i := 0; i < len(keys.keys); i++ {
-			m := n.groups[keys.keys[i]]
-			if m == nil || m.state != stateActive {
+			m, ok := n.groups.get(keys.keys[i])
+			if !ok || m.state != stateActive {
 				continue
 			}
 			// Orphaned-leader grace: a leader whose active non-root
@@ -200,11 +206,7 @@ func (n *repairSys) heartbeatRound(now int64) {
 			// re-attaching nodes onto each other without either finishing
 			// a placement walk, fabricating a group attached to nothing.
 			if m.leader == n.ID() && !m.isRoot && len(m.parent.Nodes) == 0 {
-				switch {
-				case m.leaderlessAt == 0:
-					m.leaderlessAt = now
-				case now-m.leaderlessAt > timeout:
-					m.leaderlessAt = 0
+				if graceExpired(m, now, timeout) {
 					keys.own()
 					n.reattach(m)
 				}
@@ -219,11 +221,7 @@ func (n *repairSys) heartbeatRound(now int64) {
 				// mirrors recover through the directory: the owner
 				// reasserts leadership, a deposed mirror demotes, and if the
 				// owner itself is gone the mirror reclaims the tree.
-				switch {
-				case m.leaderlessAt == 0:
-					m.leaderlessAt = now
-				case now-m.leaderlessAt > timeout:
-					m.leaderlessAt = 0
+				if graceExpired(m, now, timeout) {
 					keys.own()
 					owner, okO := n.cfg.Directory.Owner(m.af.Attr())
 					switch {
@@ -245,11 +243,7 @@ func (n *repairSys) heartbeatRound(now int64) {
 				}
 				continue
 			}
-			switch {
-			case m.leaderlessAt == 0:
-				m.leaderlessAt = now
-			case now-m.leaderlessAt > timeout:
-				m.leaderlessAt = 0
+			if graceExpired(m, now, timeout) {
 				keys.own()
 				n.reattach(m)
 			}
@@ -264,8 +258,8 @@ func (n *repairSys) handleFailure(peer sim.NodeID) {
 	// Purge the dead peer from the entry-point registry of the trees we
 	// know about.
 	seen := map[string]bool{}
-	for _, key := range n.groupOrder {
-		attr := n.groups[key].af.Attr()
+	for _, m := range n.groups.vals {
+		attr := m.af.Attr()
 		if !seen[attr] {
 			seen[attr] = true
 			n.cfg.Directory.DropContact(attr, peer)
@@ -274,9 +268,9 @@ func (n *repairSys) handleFailure(peer sim.NodeID) {
 	// Leadership first: promotions need the membership still marked
 	// active. replaceLeader can re-walk (and so create or drop
 	// memberships) synchronously: iterate a snapshot.
-	for _, key := range n.snapshotGroupKeys() {
-		m := n.groups[key]
-		if m == nil {
+	for _, key := range slices.Clone(n.groups.keys) {
+		m, ok := n.groups.get(key)
+		if !ok {
 			continue
 		}
 		m.members.remove(peer)
@@ -289,9 +283,9 @@ func (n *repairSys) handleFailure(peer sim.NodeID) {
 	// Root reclamation next, so that any re-walk triggered by view repair
 	// below already targets a live owner.
 	n.reclaimRoots(peer)
-	for _, key := range n.snapshotGroupKeys() {
-		m := n.groups[key]
-		if m == nil {
+	for _, key := range slices.Clone(n.groups.keys) {
+		m, ok := n.groups.get(key)
+		if !ok {
 			continue
 		}
 		// Predview repair: drop the contact; if the whole predecessor view
@@ -303,13 +297,9 @@ func (n *repairSys) handleFailure(peer sim.NodeID) {
 		}
 		// Succview repair: drop the contact from the branch; an empty
 		// branch is removed — its members will re-attach themselves.
-		// deleteBranch mutates the maintained order: iterate a copy.
-		for _, k := range append([]string(nil), m.branchOrder...) {
-			b := m.branches[k]
-			if has(b.Nodes, peer) && !b.dropNode(peer) {
-				m.deleteBranch(k)
-			}
-		}
+		m.branches.deleteIf(func(b *Branch) bool {
+			return has(b.Nodes, peer) && !b.dropNode(peer)
+		})
 	}
 }
 
@@ -397,17 +387,11 @@ func (n *repairSys) maybeRecruitCoOwner(m *membership, sub sim.NodeID) {
 // handleRootInvite installs a co-owner mirror of the tree root.
 func (n *repairSys) handleRootInvite(msg rootInvite) {
 	af := filter.UniversalFilter(msg.Attr)
-	m, ok := n.groups[af.Key()]
+	m, ok := n.groups.get(af.Key())
 	if !ok {
-		m = &membership{
-			af:        af,
-			state:     stateActive,
-			coLeaders: newView(),
-			members:   newView(n.ID()),
-			branches:  make(map[string]*Branch),
-			isRoot:    true,
-		}
-		n.addGroup(af.Key(), m)
+		m = newMembership(af, stateActive, n.ID())
+		m.isRoot = true
+		n.groups.put(af.Key(), m)
 	}
 	m.leader = msg.Leader
 	m.leaderlessAt = 0
@@ -416,16 +400,16 @@ func (n *repairSys) handleRootInvite(msg rootInvite) {
 		m.members.add(id)
 	}
 	for _, b := range msg.Branches {
-		if _, dup := m.branches[b.AF.Key()]; !dup {
+		if _, dup := m.branches.get(b.AF.Key()); !dup {
 			nb := cloneBranch(b)
-			m.setBranch(b.AF.Key(), &nb)
+			m.branches.put(b.AF.Key(), &nb)
 		}
 	}
 }
 
 // handleAdopt re-parents this node's group.
 func (n *repairSys) handleAdopt(msg adopt) {
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if !ok {
 		return
 	}
@@ -434,7 +418,7 @@ func (n *repairSys) handleAdopt(msg adopt) {
 
 // handleCoLeaderUpdate installs the announced leader/co-leader set.
 func (n *repairSys) handleCoLeaderUpdate(from sim.NodeID, msg coLeaderUpdate) {
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if !ok {
 		// The announcement addressed us as a member of a group we do not
 		// hold: tell the announcer to drop us. Leadership changes
@@ -457,7 +441,7 @@ func (n *repairSys) handleCoLeaderUpdate(from sim.NodeID, msg coLeaderUpdate) {
 // when it serves no subscription, re-walking into the canonical tree
 // when it does.
 func (n *repairSys) handleRehome(msg rehome) {
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if !ok {
 		return
 	}
@@ -488,8 +472,8 @@ func (n *repairSys) demoteRootMirror(m *membership) {
 	// Stay a directory contact only while other memberships keep us in
 	// the tree.
 	attr := m.af.Attr()
-	for _, k := range n.groupOrder {
-		if n.groups[k].af.Attr() == attr {
+	for _, gm := range n.groups.vals {
+		if gm.af.Attr() == attr {
 			return
 		}
 	}
@@ -533,8 +517,7 @@ func (n *repairSys) demoteInto(m *membership, winner sim.NodeID, winnerCoLead []
 // top-level groups there ("self-healing ... preserved at any time").
 func (n *repairSys) reclaimRoots(dead sim.NodeID) {
 	attrs := map[string]bool{}
-	for _, key := range n.groupOrder {
-		m := n.groups[key]
+	for _, m := range n.groups.vals {
 		if !m.isRoot {
 			attrs[m.af.Attr()] = true // joining memberships count too
 		}
@@ -550,7 +533,7 @@ func (n *repairSys) reclaimRoots(dead sim.NodeID) {
 		// branch-less root could displace the legitimate mirror. The
 		// escalation in startJoin covers the all-mirrors-dead case.
 		if n.cfg.Comm == LeaderBased {
-			mirror, okM := n.groups[filter.UniversalFilter(attr).Key()]
+			mirror, okM := n.groups.get(filter.UniversalFilter(attr).Key())
 			if !okM || !mirror.isRoot {
 				continue
 			}
@@ -559,9 +542,9 @@ func (n *repairSys) reclaimRoots(dead sim.NodeID) {
 		n.mem.ensureRoot(attr)
 		// Re-walk all our groups of that tree under the new root; the
 		// re-walks run synchronously and may mutate groups — snapshot.
-		for _, key := range n.snapshotGroupKeys() {
-			m := n.groups[key]
-			if m != nil && m.af.Attr() == attr && !m.isRoot {
+		for _, key := range slices.Clone(n.groups.keys) {
+			m, ok := n.groups.get(key)
+			if ok && m.af.Attr() == attr && !m.isRoot {
 				n.reattach(m)
 			}
 		}
@@ -575,9 +558,9 @@ func (n *repairSys) reclaimRoots(dead sim.NodeID) {
 func (n *repairSys) viewExchangeRound() {
 	// Probes and root checks inside the loop can create, drop or re-key
 	// memberships synchronously: iterate a snapshot and re-check entries.
-	for _, key := range n.snapshotGroupKeys() {
-		m := n.groups[key]
-		if m == nil || m.state != stateActive {
+	for _, key := range slices.Clone(n.groups.keys) {
+		m, ok := n.groups.get(key)
+		if !ok || m.state != stateActive {
 			continue
 		}
 		// Structural self-validation: audit this group's tree edges
@@ -673,8 +656,8 @@ func (n *repairSys) viewExchangeRound() {
 		}
 		// The merge process: send the succview to succview contacts too.
 		if adjacent {
-			for _, k := range m.branchOrder {
-				if cs := m.branches[k].Nodes; len(cs) > 0 {
+			for _, b := range m.branches.vals {
+				if cs := b.Nodes; len(cs) > 0 {
 					targets = append(targets, cs[0])
 				}
 			}
@@ -735,14 +718,9 @@ func (n *repairSys) viewExchangeRound() {
 // handleFailure already removed — after which nothing would ever remove it
 // again.
 func (n *repairSys) validateStructure(m *membership) {
-	// deleteBranch removes only the key at hand from the maintained
-	// order: walking it backwards leaves the keys still to visit in place.
-	for i := len(m.branchOrder) - 1; i >= 0; i-- {
-		k := m.branchOrder[i]
-		if b := m.branches[k]; b.AF.Key() == m.af.Key() || !m.af.Includes(b.AF) {
-			m.deleteBranch(k)
-		}
-	}
+	m.branches.deleteIf(func(b *Branch) bool {
+		return b.AF.Key() == m.af.Key() || !m.af.Includes(b.AF)
+	})
 	if m.isRoot || m.parent.AF.IsZero() {
 		return
 	}
@@ -839,8 +817,7 @@ func (n *repairSys) checkRootStillOwned(m *membership) {
 		return
 	}
 	// Someone else owns the tree now: hand our branches over.
-	for _, k := range m.branchOrder {
-		b := m.branches[k]
+	for _, b := range m.branches.vals {
 		for _, c := range b.Nodes {
 			n.send(c, rehome{AF: b.AF})
 		}
@@ -868,7 +845,7 @@ func (n *repairSys) checkRootStillOwned(m *membership) {
 
 // handleViewExchange merges a received view sample into local state.
 func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
-	m, ok := n.groups[msg.AF.Key()]
+	m, ok := n.groups.get(msg.AF.Key())
 	if ok && m.state == stateActive {
 		// Deference-cycle anchoring: the sender believes WE
 		// lead this group while we believe IT does. Both nodes are live and
@@ -971,12 +948,12 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 		// branches. Intra-instance exchanges must not, or branches deleted
 		// by re-parenting would resurrect from stale co-leader state.
 		for _, b := range msg.Branches {
-			if cur, okB := m.branches[b.AF.Key()]; okB {
+			if cur, okB := m.branches.get(b.AF.Key()); okB {
 				cur.mergeNodes(b.Nodes, n.cfg.K)
 			} else if (m.isRoot && from == m.leader) ||
 				(foreign && m.af.StrictlyIncludes(b.AF)) {
 				nb := cloneBranch(b)
-				m.setBranch(b.AF.Key(), &nb)
+				m.branches.put(b.AF.Key(), &nb)
 			}
 		}
 		if !msg.Reply {
@@ -1000,7 +977,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 	// branch, so duplicate instances of the same group come into contact
 	// and merge (§4.2.2's merge process runs through the predecessor).
 	if pm := n.mem.membershipWithBranch(msg.AF); pm != nil {
-		b := pm.branches[msg.AF.Key()]
+		b, _ := pm.branches.get(msg.AF.Key())
 		primary, hadPrimary := b.first()
 		fresh := append([]sim.NodeID{from}, msg.Members...)
 		live := fresh[:0]
@@ -1023,8 +1000,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 	}
 	// Otherwise perhaps we are a child — check whether one of our groups
 	// appears in the sender's branch list and refresh our predview.
-	for _, key := range n.groupOrder {
-		mm := n.groups[key]
+	for _, mm := range n.groups.vals {
 		for _, b := range msg.Branches {
 			if b.AF.Key() == mm.af.Key() {
 				if len(mm.parent.Nodes) == 0 || mm.parent.AF.Key() == msg.AF.Key() {

@@ -52,13 +52,13 @@ type MembershipSnapshot struct {
 // StructuralSnapshot returns deep copies of every membership in canonical
 // key order. The result is independent of node state and safe to retain.
 func (n *Node) StructuralSnapshot() []MembershipSnapshot {
-	coveredBy := make(map[string]int, len(n.st.covered))
-	for _, e := range n.st.covered {
+	coveredBy := make(map[string]int, n.st.covered.len())
+	for _, e := range n.st.covered.vals {
 		coveredBy[e.coverer] += len(e.subs)
 	}
-	out := make([]MembershipSnapshot, 0, len(n.st.groupOrder))
-	for _, key := range n.st.groupOrder {
-		m := n.st.groups[key]
+	out := make([]MembershipSnapshot, 0, n.st.groups.len())
+	for i, m := range n.st.groups.vals {
+		key := n.st.groups.keys[i]
 		out = append(out, MembershipSnapshot{
 			Key:         key,
 			AF:          m.af,

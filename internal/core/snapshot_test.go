@@ -49,7 +49,7 @@ func TestStructuralSnapshotIsDeepCopy(t *testing.T) {
 	if got := len(m.members.ids()); got != wantMembers {
 		t.Error("snapshot aliases the membership view")
 	}
-	for _, b := range m.branches {
+	for _, b := range m.branches.vals {
 		for _, n := range b.Nodes {
 			if n == 999 {
 				t.Error("snapshot aliases branch contacts")

@@ -3,13 +3,13 @@ package core
 // The narrow shared state of a node. The three protocol subsystems
 // (membership.go, dissemination.go, repair.go) embed *state and interact
 // with each other's data exclusively through this surface — the group
-// table with its maintained orderings, the delivery index, the liveness
-// table and the single send egress. Subsystem-private state (dedup
-// memories, pending publications, heartbeat scratch) lives on the
-// subsystem structs themselves, never here.
+// and covering tables, the delivery index, the liveness table and the
+// single send egress. Subsystem-private state (dedup memories, pending
+// publications, heartbeat scratch) lives on the subsystem structs
+// themselves, never here.
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/sim"
@@ -42,15 +42,10 @@ type membership struct {
 
 	leader    sim.NodeID
 	coLeaders *view
-	members   *view              // groupview (self included)
-	parent    Branch             // predview: contacts toward the predecessor
-	branches  map[string]*Branch // succview: one entry per child group
-	// branchOrder holds the sorted canonical keys of branches, maintained
-	// on every branch mutation: deterministic child iteration is a slice
-	// range, not a per-call map-key sort. All writes to branches must go
-	// through setBranch/deleteBranch to keep the two in sync.
-	branchOrder []string
-	isRoot      bool // this membership hosts the tree root
+	members   *view          // groupview (self included)
+	parent    Branch         // predview: contacts toward the predecessor
+	branches  table[*Branch] // succview: one entry per child group
+	isRoot    bool           // this membership hosts the tree root
 	// auditIdx rotates the member audit: each view-exchange round the
 	// leader additionally addresses one member, so stale groupview
 	// entries (restarted or departed identities) eventually get asked and
@@ -61,6 +56,12 @@ type membership struct {
 	// resurrect them; a genuine re-join through acceptMember clears the
 	// mark. Lazily allocated.
 	departed map[sim.NodeID]int64
+}
+
+// newMembership returns a membership of af in lifecycle state st whose
+// groupview holds only self.
+func newMembership(af filter.AttrFilter, st memberState, self sim.NodeID) *membership {
+	return &membership{af: af, state: st, coLeaders: newView(), members: newView(self)}
 }
 
 // markDeparted remembers that id left the group at the given step.
@@ -88,23 +89,6 @@ func (m *membership) recentlyDeparted(id sim.NodeID, now, ttl int64) bool {
 	return true
 }
 
-// setBranch installs b under key in the succview, maintaining the
-// deterministic branch iteration order.
-func (m *membership) setBranch(key string, b *Branch) {
-	if _, dup := m.branches[key]; !dup {
-		m.branchOrder = insertSortedKey(m.branchOrder, key)
-	}
-	m.branches[key] = b
-}
-
-// deleteBranch removes the branch under key, maintaining the order.
-func (m *membership) deleteBranch(key string) {
-	if _, ok := m.branches[key]; ok {
-		delete(m.branches, key)
-		m.branchOrder = removeSortedKey(m.branchOrder, key)
-	}
-}
-
 // isLeaderHere reports whether id leads the group (leader mode). Epidemic
 // groups are leaderless and every member answers.
 func (m *membership) isLeaderHere(id sim.NodeID) bool {
@@ -112,11 +96,11 @@ func (m *membership) isLeaderHere(id sim.NodeID) bool {
 }
 
 // branchList copies the succview into a shippable slice, canonically
-// ordered (the maintained branch order).
+// ordered.
 func (m *membership) branchList() []Branch {
-	out := make([]Branch, 0, len(m.branches))
-	for _, k := range m.branchOrder {
-		out = append(out, cloneBranch(*m.branches[k]))
+	out := make([]Branch, 0, m.branches.len())
+	for _, b := range m.branches.vals {
+		out = append(out, cloneBranch(*b))
 	}
 	return out
 }
@@ -130,22 +114,18 @@ type indexedSub struct {
 }
 
 // state is the data every subsystem may touch. Access goes through the
-// methods below (and through the maintained-ordering contract documented
-// in types.go); the kernelAPI assertion in node.go pins the surface.
+// methods below and the tables' own get/put/del; the kernelAPI assertion
+// in node.go pins the surface.
 type state struct {
 	env sim.Env
 	cfg Config
 
-	groups     map[string]*membership // by canonical filter key
-	groupOrder []string               // sorted keys of groups (maintained)
-	joining    map[string]*membership // subset of groups with state joining
-	joinOrder  []string               // sorted keys of joining (maintained)
+	groups table[*membership] // by canonical filter key
 
 	// covered is the covering table (leader mode): one entry per local
 	// filter that rides on a wider routed entry instead of owning a
 	// membership. A filter key is in groups or in covered, never both.
-	covered    map[string]*coverEntry // by covered canonical filter key
-	coverOrder []string               // sorted keys of covered (maintained)
+	covered table[*coverEntry] // by covered canonical filter key
 	// coversStale is set by every mutation that can leave a covering entry
 	// without its coverer (a group removed, an entry added or re-targeted)
 	// and cleared when recoverOrphanedCovers starts its sweep, so a node
@@ -182,82 +162,80 @@ func (s *state) send(to sim.NodeID, msg message) {
 	s.env.Send(to, msg)
 }
 
-// --- Maintained orderings --------------------------------------------------
+// --- Sorted tables ---------------------------------------------------------
 
-// insertSortedKey inserts k into the sorted slice, keeping it sorted and
-// duplicate-free.
-func insertSortedKey(keys []string, k string) []string {
-	i := sort.SearchStrings(keys, k)
-	if i < len(keys) && keys[i] == k {
-		return keys
+// table holds the entries of one key space — a node's groups, its
+// covering edges, a membership's child branches — sorted by canonical
+// filter key. keys and vals are parallel slices that get, put, del and
+// deleteIf keep in step; nothing else writes them. Ranging over vals
+// therefore visits the entries in canonical key order, which is what
+// makes every protocol loop deterministic. A loop that may mutate the
+// table while it walks it walks a snapshot of keys instead (a clone, or
+// lazyKeys) and looks each key up again.
+type table[T any] struct {
+	keys []string
+	vals []T
+}
+
+func (t *table[T]) len() int { return len(t.keys) }
+
+// get returns the entry under key.
+func (t *table[T]) get(key string) (T, bool) {
+	if i, ok := slices.BinarySearch(t.keys, key); ok {
+		return t.vals[i], true
 	}
-	keys = append(keys, "")
-	copy(keys[i+1:], keys[i:])
-	keys[i] = k
-	return keys
+	var zero T
+	return zero, false
 }
 
-// removeSortedKey deletes k from the sorted slice if present.
-func removeSortedKey(keys []string, k string) []string {
-	i := sort.SearchStrings(keys, k)
-	if i < len(keys) && keys[i] == k {
-		keys = append(keys[:i], keys[i+1:]...)
+// put installs v under key, replacing any entry already there.
+func (t *table[T]) put(key string, v T) {
+	i, ok := slices.BinarySearch(t.keys, key)
+	if ok {
+		t.vals[i] = v
+		return
 	}
-	return keys
+	t.keys = slices.Insert(t.keys, i, key)
+	t.vals = slices.Insert(t.vals, i, v)
 }
 
-// addGroup installs m under key, maintaining the iteration order.
-func (s *state) addGroup(key string, m *membership) {
-	if _, dup := s.groups[key]; !dup {
-		s.groupOrder = insertSortedKey(s.groupOrder, key)
+// del removes the entry under key and reports whether there was one.
+func (t *table[T]) del(key string) bool {
+	i, ok := slices.BinarySearch(t.keys, key)
+	if !ok {
+		return false
 	}
-	s.groups[key] = m
+	t.keys = slices.Delete(t.keys, i, i+1)
+	t.vals = slices.Delete(t.vals, i, i+1)
+	return true
 }
 
-// removeGroup deletes the membership under key, maintaining the order.
-func (s *state) removeGroup(key string) {
-	if _, ok := s.groups[key]; ok {
-		delete(s.groups, key)
-		s.groupOrder = removeSortedKey(s.groupOrder, key)
-		s.coversStale = true
+// deleteIf removes every entry drop reports true for, asking in key
+// order. drop must not mutate the table.
+func (t *table[T]) deleteIf(drop func(T) bool) {
+	kept := 0
+	for i, v := range t.vals {
+		if !drop(v) {
+			t.keys[kept], t.vals[kept] = t.keys[i], v
+			kept++
+		}
 	}
+	clear(t.keys[kept:])
+	clear(t.vals[kept:])
+	t.keys, t.vals = t.keys[:kept], t.vals[:kept]
 }
 
-// addJoining tracks m as walking, maintaining the retry iteration order.
-func (s *state) addJoining(key string, m *membership) {
-	if _, dup := s.joining[key]; !dup {
-		s.joinOrder = insertSortedKey(s.joinOrder, key)
-	}
-	s.joining[key] = m
-}
-
-// removeJoining untracks a settled or dropped walk.
-func (s *state) removeJoining(key string) {
-	if _, ok := s.joining[key]; ok {
-		delete(s.joining, key)
-		s.joinOrder = removeSortedKey(s.joinOrder, key)
-	}
-}
-
-// snapshotGroupKeys returns a copy of the group iteration order for loops
-// that may create or drop memberships while iterating (joins, healing,
-// anti-entropy). Entries must be re-looked-up — they can go stale mid-loop.
-func (s *state) snapshotGroupKeys() []string {
-	return append([]string(nil), s.groupOrder...)
-}
-
-// lazyKeys walks a maintained key order (groupOrder, joinOrder,
-// coverOrder) for a loop that mutates it only when an entry needs action.
-// It aliases the order until own is called — which the loop must do
-// before its first mutation — and copies it then, so a loop that mutates
-// nothing copies nothing, and one that does walks the same keys a
-// snapshot taken up front would have held.
+// lazyKeys walks a table's keys for a loop that mutates the table only
+// when an entry needs action. It aliases the keys until own is called —
+// which the loop must do before its first mutation — and copies them
+// then, so a loop that mutates nothing copies nothing, and one that does
+// walks the same keys a snapshot taken up front would have held.
 type lazyKeys struct {
 	keys  []string
 	owned bool
 }
 
-// own detaches the walked keys from the maintained order.
+// own detaches the walked keys from the table.
 func (l *lazyKeys) own() {
 	if !l.owned {
 		l.keys = append([]string(nil), l.keys...)
@@ -271,21 +249,20 @@ func (l *lazyKeys) own() {
 func (s *state) setActive(m *membership) {
 	m.state = stateActive
 	m.retries = 0
-	s.removeJoining(m.af.Key())
 }
 
 // setJoining marks a membership as walking (initial join or re-attach).
 func (s *state) setJoining(m *membership) {
 	m.state = stateJoining
-	s.addJoining(m.af.Key(), m)
 }
 
-// dropMembership removes a membership from all indexes. Subscriptions the
-// membership still carries stay registered in the delivery index; callers
-// discarding them for good (root dissolution) deindex explicitly.
+// dropMembership removes the membership under key from the group table.
+// Subscriptions it still carries stay registered in the delivery index;
+// callers discarding them for good (root dissolution) deindex explicitly.
 func (s *state) dropMembership(key string) {
-	s.removeGroup(key)
-	s.removeJoining(key)
+	if s.groups.del(key) {
+		s.coversStale = true
+	}
 }
 
 // --- Covering table --------------------------------------------------------
@@ -301,31 +278,16 @@ type coverEntry struct {
 	subs    []filter.Subscription
 }
 
-// addCover installs e under the covered filter's key, maintaining the
-// iteration order.
+// addCover installs e under the covered filter's key.
 func (s *state) addCover(key string, e *coverEntry) {
-	if s.covered == nil {
-		s.covered = make(map[string]*coverEntry)
-	}
-	if _, dup := s.covered[key]; !dup {
-		s.coverOrder = insertSortedKey(s.coverOrder, key)
-	}
-	s.covered[key] = e
+	s.covered.put(key, e)
 	s.coversStale = true
-}
-
-// removeCover deletes the entry under key, maintaining the order.
-func (s *state) removeCover(key string) {
-	if _, ok := s.covered[key]; ok {
-		delete(s.covered, key)
-		s.coverOrder = removeSortedKey(s.coverOrder, key)
-	}
 }
 
 // hasCoverEdges reports whether any covering entry rides on the
 // membership routed under covererKey.
 func (s *state) hasCoverEdges(covererKey string) bool {
-	for _, e := range s.covered {
+	for _, e := range s.covered.vals {
 		if e.coverer == covererKey {
 			return true
 		}
@@ -338,7 +300,7 @@ func (s *state) hasCoverEdges(covererKey string) bool {
 // newKey. Every re-key widens or relabels the coverer's extension, so
 // inclusion over the covered filters is preserved.
 func (s *state) retargetCoverEdges(oldKey, newKey string) {
-	for _, e := range s.covered {
+	for _, e := range s.covered.vals {
 		if e.coverer == oldKey {
 			e.coverer = newKey
 			s.coversStale = true

@@ -11,17 +11,17 @@
 //
 // # Ordering invariant
 //
-// Every loop over a node's groups or a membership's branches iterates in
-// canonical (sorted) key order, and that order now comes from maintained
-// slices — Node.groupOrder, Node.joinOrder, membership.branchOrder —
-// updated incrementally when a membership or branch is added or removed,
-// not from re-sorting map keys at each call site. All map mutations must
-// go through the maintaining helpers (addGroup/removeGroup,
-// setBranch/deleteBranch, addJoining/removeJoining); loops that can
-// mutate the maps mid-iteration take a snapshot copy first. The invariant
-// (maintained slice ≡ sorted map keys) is asserted by
-// TestMaintainedOrderInvariant, and trace determinism (same seed ⇒
-// identical simulation) by TestProtocolTraceDeterminism.
+// Every loop over a node's groups, its covering edges or a membership's
+// branches iterates in canonical (sorted) key order. Each of these key
+// spaces is one table (state.go): sorted keys and their values in two
+// parallel slices, written only by the table's own get/put/del/deleteIf,
+// so a range over its values is the canonical order and there is no
+// second index to keep in step. The walking memberships are the groups
+// in stateJoining, not a separate set. Loops that can mutate a table
+// mid-iteration walk a snapshot of its keys and look each one up again.
+// TestTableMatchesSortedMapProperty checks the table against a map whose
+// keys are sorted on demand, and TestProtocolTraceDeterminism checks
+// trace determinism (same seed ⇒ identical simulation).
 package core
 
 import (
