@@ -220,7 +220,6 @@ func fakeRun(engine string, ratio float64, expected map[core.EventID][]sim.NodeI
 			set[id] = true
 		}
 		rec.expected[ev] = set
-		rec.matching[ev] = set
 	}
 	for ev, ids := range delivered {
 		for _, id := range ids {

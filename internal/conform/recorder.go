@@ -2,6 +2,7 @@ package conform
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -60,16 +61,19 @@ type recorder struct {
 	order    []core.EventID
 	pubStep  map[core.EventID]int64
 	expected map[core.EventID]map[sim.NodeID]bool
-	matching map[core.EventID]map[sim.NodeID]bool
+	// deadMatching lists, per event, the matching subscribers that were
+	// dead at publish — the oracle's set minus expected — and holds an
+	// entry only for events that have any.
+	deadMatching map[core.EventID][]sim.NodeID
 }
 
 func newRecorder() *recorder {
 	r := &recorder{
-		oracle:   semtree.New(),
-		pubAt:    make(map[core.EventID]time.Time),
-		pubStep:  make(map[core.EventID]int64),
-		expected: make(map[core.EventID]map[sim.NodeID]bool),
-		matching: make(map[core.EventID]map[sim.NodeID]bool),
+		oracle:       semtree.New(),
+		pubAt:        make(map[core.EventID]time.Time),
+		pubStep:      make(map[core.EventID]int64),
+		expected:     make(map[core.EventID]map[sim.NodeID]bool),
+		deadMatching: make(map[core.EventID][]sim.NodeID),
 	}
 	for i := range r.shards {
 		r.shards[i].delivered = make(map[core.EventID]map[sim.NodeID]int64)
@@ -97,23 +101,26 @@ func (r *recorder) leave(id sim.NodeID) {
 	r.oracle.RemoveMember(semtree.MemberID(id))
 }
 
-// publish registers a tracked event published at step: matching is the
-// oracle's ground-truth member set, expected its restriction to the
-// nodes alive now.
+// publish registers a tracked event published at step: expected is the
+// oracle's ground-truth member set restricted to the nodes alive now, and
+// the dead rest goes to deadMatching.
 func (r *recorder) publish(ev core.EventID, event filter.Event, alive func(sim.NodeID) bool, step int64) {
-	match := make(map[sim.NodeID]bool)
 	exp := make(map[sim.NodeID]bool)
+	var dead []sim.NodeID
 	for m := range r.oracle.MatchingMembers(event) {
 		id := sim.NodeID(m)
-		match[id] = true
 		if alive(id) {
 			exp[id] = true
+		} else {
+			dead = append(dead, id)
 		}
 	}
 	r.order = append(r.order, ev)
 	r.pubStep[ev] = step
-	r.matching[ev] = match
 	r.expected[ev] = exp
+	if dead != nil {
+		r.deadMatching[ev] = dead
+	}
 }
 
 // deliver logs one delivery hook firing at step (any goroutine). Only a
@@ -260,7 +267,7 @@ func (r *recorder) deliverySummary() (events int, expectedPairs, deliveredPairs,
 		for id := range r.deliveredFor(ev) {
 			if r.expected[ev][id] {
 				deliveredPairs++
-			} else if !r.matching[ev][id] {
+			} else if !slices.Contains(r.deadMatching[ev], id) {
 				falseDeliveries++
 			}
 		}
