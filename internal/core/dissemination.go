@@ -214,9 +214,9 @@ func (n *disseminationSys) groupRelay(m *membership) (sim.NodeID, bool) {
 
 // forwardDown sends the event into every child branch whose filter matches
 // the published value, skipping the branch the event came from. Branches
-// are visited in canonical key order; contact selection
-// fills a small stack buffer per branch (handlePublishTree can recurse when
-// a contact is this node, so the buffer must be per-frame, not shared).
+// are visited in canonical key order; contact selection fills a small
+// stack buffer per branch (handlePublishTree can recurse when a contact
+// is this node, so the buffer must be per-frame, not shared).
 func (n *disseminationSys) forwardDown(m *membership, msg publishTree, v filter.Value) {
 	for _, b := range m.branches.vals {
 		if !b.AF.Matches(v) {

@@ -37,7 +37,7 @@ type Node struct {
 // read access via the promoted fields documented in state.go, everything
 // else via an explicit sibling-subsystem reference. The group, covering
 // and branch tables (state.go) are written only through their own
-// get/put/del.
+// get/put/del/deleteIf.
 type kernelAPI interface {
 	ID() sim.NodeID
 	send(to sim.NodeID, msg message)
