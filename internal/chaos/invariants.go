@@ -100,10 +100,11 @@ type CheckerOptions struct {
 	// (live leader per active group). Set it when the population runs
 	// leader-based communication.
 	LeaderMode bool
-	// MaxSamples bounds the concrete violations kept per check record
-	// (the totals are always exact). 0 means 6.
-	MaxSamples int
 }
+
+// maxSamples bounds the concrete violations kept per check record (the
+// totals are always exact).
+const maxSamples = 6
 
 // Checker validates the legal-configuration invariants. The runner calls
 // Check between steps, once the overlay has formed; sweeps are read-only
@@ -126,9 +127,6 @@ type pendingFault struct {
 
 // NewChecker builds a checker over the target.
 func NewChecker(target Target, opts CheckerOptions) *Checker {
-	if opts.MaxSamples <= 0 {
-		opts.MaxSamples = 6
-	}
 	return &Checker{target: target, opts: opts}
 }
 
@@ -247,7 +245,7 @@ func (c *Checker) Check(step int64) CheckRecord {
 	add := func(v Violation) {
 		rec.Total++
 		rec.ByInvariant[v.Invariant]++
-		if len(rec.Sample) < c.opts.MaxSamples {
+		if len(rec.Sample) < maxSamples {
 			rec.Sample = append(rec.Sample, v)
 		}
 	}

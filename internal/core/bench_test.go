@@ -101,7 +101,7 @@ func BenchmarkNotifyLocal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		node.dis.notifyLocal(EventID(i+1), ev)
-		delete(node.dis.seen, EventID(i+1)) // keep the dedup map flat across b.N
+		delete(node.dis.seen, EventID(i+1)) // keep the seen memory flat across b.N
 	}
 	b.StopTimer()
 	if delivered != b.N {
@@ -175,17 +175,16 @@ func BenchmarkViewExchange(b *testing.B) {
 }
 
 // BenchmarkSettledTick measures the settled group's whole upkeep: one op
-// runs the engine for one ViewExchangePeriod, so every node ticks through
+// runs the engine for one viewExchangePeriod, so every node ticks through
 // its heartbeat and anti-entropy rounds once and every resulting message
 // is delivered.
 func BenchmarkSettledTick(b *testing.B) {
 	eng, nodes, _ := settledGroup(b)
-	period := int(DefaultConfig().ViewExchangePeriod)
-	eng.Run(period)
+	eng.Run(viewExchangePeriod)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Run(period)
+		eng.Run(viewExchangePeriod)
 	}
 	b.StopTimer()
 	if eng.AliveCount() != len(nodes) {

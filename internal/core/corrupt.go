@@ -156,9 +156,7 @@ func (n *Node) corruptMembership(group string, preferLed bool, eligible func(*me
 // clearing any departure memory that would let the repair rules shrug the
 // forgery off as a stale rumour.
 func forgeMember(m *membership, id sim.NodeID) bool {
-	if m.departed != nil {
-		delete(m.departed, id)
-	}
+	delete(m.departed, id)
 	return m.members.add(id)
 }
 

@@ -45,8 +45,8 @@ type hotEvent struct {
 type disseminationSys struct {
 	*state
 
-	seen    map[EventID]int64  // notify dedup: first-receipt step
-	routed  map[routeKey]int64 // per-(event, group) routing dedup
+	seen    memory[EventID]  // notify dedup: first-receipt step
+	routed  memory[routeKey] // per-(event, group) routing dedup
 	pending []pendingPub
 	hot     []hotEvent // events being re-gossiped (epidemic rounds)
 
@@ -135,11 +135,7 @@ func (n *disseminationSys) routeEvent(m *membership, msg publishTree) {
 		return
 	}
 	rk := routeKey{id: msg.ID, key: m.af.Key()}
-	_, done := n.routed[rk]
-	first := !done
-	if first {
-		n.routed[rk] = n.env.Now()
-	}
+	first := n.routed.add(rk, n.env.Now())
 	if !m.af.Matches(v) {
 		// Generic upward pass: a non-matching group still relays toward
 		// the root ("if the event does not match the group predicate, it
@@ -358,10 +354,9 @@ func (n *disseminationSys) handlePublishGroup(from sim.NodeID, msg publishGroup)
 	switch n.cfg.Comm {
 	case Epidemic:
 		rk := routeKey{id: msg.ID, key: m.af.Key()}
-		if _, done := n.routed[rk]; done {
+		if !n.routed.add(rk, n.env.Now()) {
 			return
 		}
-		n.routed[rk] = n.env.Now()
 		n.diffuseInGroup(m, msg.ID, msg.Event, msg.Hops, false)
 		// Epidemic members also push the event across tree edges,
 		// providing the cross-group redundancy of §4.2.2.
@@ -390,10 +385,9 @@ func (n *disseminationSys) handlePublishGroup(from sim.NodeID, msg publishGroup)
 // regardless of how many subscriptions match, so probe order cannot
 // change observable behaviour.
 func (n *disseminationSys) notifyLocal(id EventID, ev filter.Event) {
-	if _, dup := n.seen[id]; dup {
+	if !n.seen.add(id, n.env.Now()) {
 		return
 	}
-	n.seen[id] = n.env.Now()
 	if n.onEvent != nil {
 		n.onEvent(id, ev)
 	}
@@ -431,12 +425,12 @@ func (n *disseminationSys) flushPending(m *membership) {
 
 // expirePending drops publications whose target group never settled.
 func (n *disseminationSys) expirePending(now int64) {
-	if len(n.pending) == 0 || n.cfg.PendingTTL <= 0 {
+	if len(n.pending) == 0 {
 		return
 	}
 	kept := n.pending[:0]
 	for _, p := range n.pending {
-		if now-p.heldAt <= n.cfg.PendingTTL {
+		if now-p.heldAt <= pendingTTL {
 			kept = append(kept, p)
 		}
 	}
@@ -479,19 +473,4 @@ func (n *disseminationSys) scheduleHot(m *membership, id EventID, ev filter.Even
 	n.hot = append(n.hot, hotEvent{
 		id: id, ev: ev, afKey: m.af.Key(), round: 1, nextAt: n.env.Now() + 2,
 	})
-}
-
-// gcDedup expires the event dedup memories (called from the node's shared
-// dedup sweep, already gated on SeenTTL and the sweep period).
-func (n *disseminationSys) gcDedup(now int64) {
-	for id, at := range n.seen {
-		if now-at > n.cfg.SeenTTL {
-			delete(n.seen, id)
-		}
-	}
-	for rk, at := range n.routed {
-		if now-at > n.cfg.SeenTTL {
-			delete(n.routed, rk)
-		}
-	}
 }

@@ -22,7 +22,7 @@ type membershipSys struct {
 	dis *disseminationSys // flushes publications once a group settles
 	rep *repairSys        // co-owner recruitment, leadership announcements
 
-	rumours map[string]int64 // gossipSub forward dedup (rumour-mongering)
+	rumours memory[rumourKey] // gossipSub forward dedup (rumour-mongering)
 }
 
 // subscribe implements Node.Subscribe: the node joins the tree of the
@@ -262,7 +262,7 @@ func (n *membershipSys) startJoin(m *membership) {
 	// the retry budget, anchor the group in place — the leader's position
 	// probes and the parent's branch exchanges reconnect it from there,
 	// so total repair time stays bounded.
-	if m.retries > 10 {
+	if m.retries > selfAnchorRetries {
 		n.selfAnchor(m)
 		return
 	}
@@ -274,7 +274,7 @@ func (n *membershipSys) startJoin(m *membership) {
 	// Liveness escalation: a walk that keeps going unanswered points at a
 	// dead owner nobody with a mirror survived to replace. Claim the tree
 	// ourselves rather than retrying into the void forever.
-	if owner != n.ID() && (n.suspected[owner] || m.retries > 5) {
+	if owner != n.ID() && (n.suspected[owner] || m.retries > ownerEscalateRetries) {
 		n.cfg.Directory.ReplaceOwner(attr, n.ID())
 		owner = n.ID()
 	}
@@ -330,13 +330,12 @@ func (n *membershipSys) selfAnchor(m *membership) {
 // retryJoins re-issues findGroup walks that have gone unanswered — lost to
 // crashed handlers or to in-flight reconfiguration.
 func (n *membershipSys) retryJoins(now int64) {
-	const retryAfter = 30
 	// startJoin can settle or drop walks synchronously (a local walk ends
 	// in acceptMember): own the keys before it and re-check each entry.
 	keys := lazyKeys{keys: n.groups.keys}
 	for i := 0; i < len(keys.keys); i++ {
 		m, ok := n.groups.get(keys.keys[i])
-		if ok && m.state == stateJoining && now-m.sentAt >= retryAfter {
+		if ok && m.state == stateJoining && now-m.sentAt >= joinRetryAfter {
 			keys.own()
 			n.startJoin(m)
 		}
@@ -630,18 +629,16 @@ func (n *membershipSys) acceptMember(m *membership, sub sim.NodeID, wanted filte
 		n.setActive(m)
 		return
 	}
-	if m.departed != nil {
-		delete(m.departed, sub) // a genuine re-join overrides the leave memory
-	}
+	delete(m.departed, sub) // a genuine re-join overrides the leave memory
 	isNew := m.members.add(sub)
 	if n.cfg.Comm == Epidemic {
-		m.members.bound(n.cfg.GroupViewSize, n.env.Rand())
+		m.members.bound(groupViewSize, n.env.Rand())
 	}
 	// Promote early joiners to co-leaders (leader mode: "the first Kc
 	// nodes that joined the group directly after the leader").
 	becameCoLeader := false
 	if n.cfg.Comm == LeaderBased && m.isLeaderHere(n.ID()) && isNew &&
-		m.coLeaders.len() < n.cfg.Kc {
+		m.coLeaders.len() < numCoLeaders {
 		m.coLeaders.add(sub)
 		becameCoLeader = true
 	}
@@ -693,7 +690,7 @@ func (n *membershipSys) acceptMember(m *membership, sub sim.NodeID, wanted filte
 // answers and view exchanges: a bounded sample of the partial view.
 func (n *membershipSys) memberSample(m *membership) []sim.NodeID {
 	if n.cfg.Comm == Epidemic {
-		s := m.members.sample(n.env.Rand(), n.cfg.GroupViewSize)
+		s := m.members.sample(n.env.Rand(), groupViewSize)
 		if len(s) == 0 {
 			s = []sim.NodeID{n.ID()}
 		}
@@ -812,7 +809,7 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 	now := n.env.Now()
 	co := make([]sim.NodeID, 0, len(msg.CoLeaders))
 	for _, id := range msg.CoLeaders {
-		if !m.recentlyDeparted(id, now, n.cfg.SeenTTL) {
+		if !m.departed.within(id, now) {
 			co = append(co, id)
 		}
 	}
@@ -835,13 +832,13 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 		})
 	}
 	for _, id := range msg.Members {
-		if m.recentlyDeparted(id, now, n.cfg.SeenTTL) {
+		if m.departed.within(id, now) {
 			continue // same probe-echo race as the co-leader list above
 		}
 		m.members.add(id)
 	}
 	if n.cfg.Comm == Epidemic {
-		m.members.bound(n.cfg.GroupViewSize, n.env.Rand())
+		m.members.bound(groupViewSize, n.env.Rand())
 	}
 	// When the acceptor is itself orphaned (empty predview), keep what we
 	// know instead of erasing it — the parent's periodic branch exchanges
@@ -869,7 +866,7 @@ func (n *membershipSys) handleJoinNotify(msg joinNotify) {
 	if msg.Gone {
 		m.members.remove(msg.Member)
 		m.coLeaders.remove(msg.Member)
-		m.markDeparted(msg.Member, n.env.Now())
+		m.departed.mark(msg.Member, n.env.Now())
 		return
 	}
 	m.members.add(msg.Member)
@@ -883,45 +880,26 @@ func (n *membershipSys) handleGossipSub(msg gossipSub) {
 	}
 	if msg.Gone {
 		m.members.remove(msg.Member)
-		m.markDeparted(msg.Member, n.env.Now())
-	} else if !m.recentlyDeparted(msg.Member, n.env.Now(), n.cfg.SeenTTL) {
+		m.departed.mark(msg.Member, n.env.Now())
+	} else if !m.departed.within(msg.Member, n.env.Now()) {
 		m.members.add(msg.Member)
-		m.members.bound(n.cfg.GroupViewSize, n.env.Rand())
+		m.members.bound(groupViewSize, n.env.Rand())
 	}
 	// Rumour-mongering: forward each distinct rumour at most once per
 	// dedup window, or bounded partial views make rumours immortal (an
 	// evicted member looks "new" forever).
-	rk := rumourKey(msg)
-	if _, dup := n.rumours[rk]; dup {
-		return
+	if n.rumours.add(rumourKey{af: msg.AF.Key(), gone: msg.Gone, member: msg.Member}, n.env.Now()) {
+		n.gossipMembership(m, msg)
 	}
-	n.rumours[rk] = n.env.Now()
-	n.gossipMembership(m, msg)
 }
 
-func rumourKey(msg gossipSub) string {
-	k := msg.AF.Key()
-	b := make([]byte, 0, len(k)+12)
-	b = append(b, k...)
-	b = append(b, '|')
-	if msg.Gone {
-		b = append(b, '-')
-	} else {
-		b = append(b, '+')
-	}
-	for v := uint64(msg.Member); ; v >>= 8 {
-		b = append(b, byte(v))
-		if v < 256 {
-			break
-		}
-	}
-	return string(b)
+// rumourKey identifies one membership rumour: who joined or left which
+// group.
+type rumourKey struct {
+	af     string
+	gone   bool
+	member sim.NodeID
 }
-
-// maxGossipHops hard-bounds rumour lifetimes: bounded partial views can
-// evict and re-learn members indefinitely, so probability decay alone does
-// not guarantee termination when configured close to 1.
-const maxGossipHops = 32
 
 // gossipMembership forwards a membership rumour to Fs random members with
 // hop-decaying probability.
@@ -1042,7 +1020,7 @@ func (n *membershipSys) handleLeave(msg leave) {
 	}
 	m.members.remove(msg.Member)
 	m.coLeaders.remove(msg.Member)
-	m.markDeparted(msg.Member, n.env.Now())
+	m.departed.mark(msg.Member, n.env.Now())
 	if m.leader == msg.Member {
 		// The peer we deferred to says it is not in the group: forget the
 		// stale leadership. The leaderless grace (or, for root mirrors,
@@ -1086,30 +1064,4 @@ func (n *membershipSys) membershipWithBranch(af filter.AttrFilter) *membership {
 		}
 	}
 	return nil
-}
-
-// gcRumours expires the rumour dedup memory (called from the node's
-// shared dedup sweep, already gated on SeenTTL and the sweep period).
-func (n *membershipSys) gcRumours(now int64) {
-	for k, at := range n.rumours {
-		if now-at > n.cfg.SeenTTL {
-			delete(n.rumours, k)
-		}
-	}
-}
-
-// gcDeparted expires the per-membership departure memories so
-// long-running open-system nodes do not accumulate a mark for every
-// member that ever left. Same sweep cadence as the other dedup memories.
-func (n *membershipSys) gcDeparted(now int64) {
-	for _, m := range n.groups.vals {
-		if m.departed == nil {
-			continue
-		}
-		for id, at := range m.departed {
-			if now-at > n.cfg.SeenTTL {
-				delete(m.departed, id)
-			}
-		}
-	}
 }

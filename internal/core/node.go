@@ -29,31 +29,6 @@ type Node struct {
 	rep repairSys
 }
 
-// kernelAPI catalogues the mutating shared-state surface the subsystems
-// are expected to go through. It is documentation with a compile-time
-// anchor, not an enforcement mechanism: subsystems embed *state directly
-// (field promotion keeps the hot paths free of interface dispatch), so
-// the boundary holds by convention — state-mutation helpers listed here,
-// read access via the promoted fields documented in state.go, everything
-// else via an explicit sibling-subsystem reference. The group, covering
-// and branch tables (state.go) are written only through their own
-// get/put/del/deleteIf.
-type kernelAPI interface {
-	ID() sim.NodeID
-	send(to sim.NodeID, msg message)
-	setActive(m *membership)
-	setJoining(m *membership)
-	dropMembership(key string)
-	indexSub(sub filter.Subscription)
-	unindexSub(sub filter.Subscription)
-	refillLive(v *view, ids []sim.NodeID)
-	addCover(key string, e *coverEntry)
-	hasCoverEdges(covererKey string) bool
-	retargetCoverEdges(oldKey, newKey string)
-}
-
-var _ kernelAPI = (*state)(nil)
-
 var _ sim.Process = (*Node)(nil)
 
 // NewNode builds a node with the given configuration. The configuration's
@@ -68,8 +43,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Comm != LeaderBased && cfg.Comm != Epidemic {
 		return nil, fmt.Errorf("core: invalid communication mode %d", cfg.Comm)
 	}
-	if cfg.K <= 0 || cfg.HBMin <= 0 || cfg.HBMax < cfg.HBMin {
-		return nil, errors.New("core: invalid view or heartbeat parameters")
+	if cfg.K <= 0 {
+		return nil, errors.New("core: invalid view parameters")
 	}
 	n := &Node{
 		st: state{
@@ -79,17 +54,8 @@ func NewNode(cfg Config) (*Node, error) {
 			suspected:  make(map[sim.NodeID]bool),
 		},
 	}
-	n.mem = membershipSys{
-		state:   &n.st,
-		dis:     &n.dis,
-		rep:     &n.rep,
-		rumours: make(map[string]int64),
-	}
-	n.dis = disseminationSys{
-		state:  &n.st,
-		seen:   make(map[EventID]int64),
-		routed: make(map[routeKey]int64),
-	}
+	n.mem = membershipSys{state: &n.st, dis: &n.dis, rep: &n.rep}
+	n.dis = disseminationSys{state: &n.st}
 	n.rep = repairSys{
 		state:     &n.st,
 		mem:       &n.mem,
@@ -279,18 +245,21 @@ func (n *Node) OnTick() {
 	n.dis.expirePending(now)
 	n.dis.gossipHot(now)
 	n.drainSelf()
-	if n.st.cfg.ViewExchangePeriod > 0 && now%n.st.cfg.ViewExchangePeriod == int64(n.ID())%n.st.cfg.ViewExchangePeriod {
+	if now%viewExchangePeriod == int64(n.ID())%viewExchangePeriod {
 		n.rep.viewExchangeRound()
 	}
 	n.gcSeen(now)
 }
 
-// gcSeen periodically expires the dedup memories of all subsystems.
+// gcSeen periodically expires the memories of all subsystems.
 func (n *Node) gcSeen(now int64) {
-	if n.st.cfg.SeenTTL <= 0 || now%64 != 0 {
+	if now%dedupSweep != 0 {
 		return
 	}
-	n.dis.gcDedup(now)
-	n.mem.gcRumours(now)
-	n.mem.gcDeparted(now)
+	n.dis.seen.expire(now)
+	n.dis.routed.expire(now)
+	n.mem.rumours.expire(now)
+	for _, m := range n.st.groups.vals {
+		m.departed.expire(now)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -218,6 +219,67 @@ func TestTableMatchesSortedMapProperty(t *testing.T) {
 					t.Logf("value under %q is %d, model %d", rk, tb.vals[i], ref[rk])
 					return false
 				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMemoryMatchesMapModelProperty runs random add/mark/within/expire/
+// delete sequences, starting from a nil memory, against a plain map with
+// the expiry rule written out: a mark made at step at is forgotten once
+// now-at > dedupTTL. The clock jumps by exactly dedupTTL and its
+// neighbours often, so the boundary step is exercised.
+func TestMemoryMatchesMapModelProperty(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 2000}
+	jumps := []int64{0, 1, 2, 50, dedupTTL - 1, dedupTTL, dedupTTL + 1}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var mem memory[int]
+		ref := map[int]int64{}
+		var now int64
+		for op := 0; op < 80; op++ {
+			now += jumps[r.Intn(len(jumps))]
+			k := r.Intn(6)
+			at, had := ref[k]
+			switch r.Intn(6) {
+			case 0, 1:
+				if !had {
+					ref[k] = now
+				}
+				if got := mem.add(k, now); got != !had {
+					t.Logf("add(%d) at %d = %v; model %v", k, now, got, !had)
+					return false
+				}
+			case 2:
+				ref[k] = now
+				mem.mark(k, now)
+			case 3:
+				want := had && now-at <= dedupTTL
+				if had && !want {
+					delete(ref, k)
+				}
+				if got := mem.within(k, now); got != want {
+					t.Logf("within(%d) at %d = %v; model %v", k, now, got, want)
+					return false
+				}
+			case 4:
+				for rk, rat := range ref {
+					if now-rat > dedupTTL {
+						delete(ref, rk)
+					}
+				}
+				mem.expire(now)
+			default:
+				delete(ref, k)
+				delete(mem, k)
+			}
+			if !maps.Equal(mem, ref) {
+				t.Logf("memory %v, model %v at step %d", mem, ref, now)
+				return false
 			}
 		}
 		return true

@@ -55,11 +55,7 @@ func (n *repairSys) handleHeartbeat(from sim.NodeID) {
 
 // hbPeriod draws the node's next heartbeat period.
 func (n *repairSys) hbPeriod() int64 {
-	span := n.cfg.HBMax - n.cfg.HBMin
-	if span <= 0 {
-		return n.cfg.HBMin
-	}
-	return n.cfg.HBMin + n.env.Rand().Int63n(span+1)
+	return hbMin + n.env.Rand().Int63n(hbMax-hbMin+1)
 }
 
 // heartbeatSendTargets collects the peers this node actively heartbeats.
@@ -176,7 +172,7 @@ func (n *repairSys) heartbeatRound(now int64) {
 	for _, peer := range n.heartbeatSendTargets() {
 		n.send(peer, heartbeat{})
 	}
-	timeout := n.cfg.HBTimeoutMult * n.cfg.HBMax
+	const timeout = hbTimeoutMult * hbMax
 	for _, peer := range n.expectedPeers() {
 		last, known := n.lastSeen[peer]
 		if !known {
@@ -331,8 +327,8 @@ func (n *repairSys) replaceLeader(m *membership) {
 		n.cfg.Directory.AddContact(m.af.Attr(), n.ID())
 	}
 	// Promote a regular member to keep Kc co-leaders.
-	for _, cand := range m.members.headAfter(n.cfg.Kc, append(m.coLeaders.ids(), n.ID())...) {
-		if m.coLeaders.len() >= n.cfg.Kc {
+	for _, cand := range m.members.headAfter(numCoLeaders, append(m.coLeaders.ids(), n.ID())...) {
+		if m.coLeaders.len() >= numCoLeaders {
 			break
 		}
 		m.coLeaders.add(cand)
@@ -370,7 +366,7 @@ func (n *repairSys) broadcastCoLeaders(m *membership) {
 // up-routing.
 func (n *repairSys) maybeRecruitCoOwner(m *membership, sub sim.NodeID) {
 	if !m.isRoot || n.cfg.Comm != LeaderBased || !m.isLeaderHere(n.ID()) ||
-		sub == n.ID() || m.coLeaders.has(sub) || m.coLeaders.len() >= n.cfg.Kc {
+		sub == n.ID() || m.coLeaders.has(sub) || m.coLeaders.len() >= numCoLeaders {
 		return
 	}
 	m.coLeaders.add(sub)
@@ -894,14 +890,14 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 				// A member we saw leave stays out until it re-joins for
 				// real: exchange replies race with removals, and an
 				// un-guarded union resurrects every removed entry.
-				if m.recentlyDeparted(id, now, n.cfg.SeenTTL) {
+				if m.departed.within(id, now) {
 					continue
 				}
 				m.members.add(id)
 			}
 		}
 		if n.cfg.Comm == Epidemic {
-			m.members.bound(n.cfg.GroupViewSize, n.env.Rand())
+			m.members.bound(groupViewSize, n.env.Rand())
 		} else {
 			// Adopt the sender's leadership if we lost ours.
 			if m.leader == 0 && msg.Leader != 0 && !n.suspected[msg.Leader] {

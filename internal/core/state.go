@@ -4,9 +4,9 @@ package core
 // (membership.go, dissemination.go, repair.go) embed *state and interact
 // with each other's data exclusively through this surface — the group
 // and covering tables, the delivery index, the liveness table and the
-// single send egress. Subsystem-private state (dedup memories, pending
-// publications, heartbeat scratch) lives on the subsystem structs
-// themselves, never here.
+// single send egress. Subsystem-private state (the expiring memories,
+// pending publications, heartbeat scratch) lives on the subsystem
+// structs themselves, never here.
 
 import (
 	"slices"
@@ -51,42 +51,17 @@ type membership struct {
 	// entries (restarted or departed identities) eventually get asked and
 	// answer "not a member".
 	auditIdx int
-	// departed remembers members removed by leave for a dedup window, so
+	// departed remembers members removed by leave for dedupTTL steps, so
 	// in-flight view-exchange replies built from stale mirrors cannot
 	// resurrect them; a genuine re-join through acceptMember clears the
-	// mark. Lazily allocated.
-	departed map[sim.NodeID]int64
+	// mark. Allocated on the first departure.
+	departed memory[sim.NodeID]
 }
 
 // newMembership returns a membership of af in lifecycle state st whose
 // groupview holds only self.
 func newMembership(af filter.AttrFilter, st memberState, self sim.NodeID) *membership {
 	return &membership{af: af, state: st, coLeaders: newView(), members: newView(self)}
-}
-
-// markDeparted remembers that id left the group at the given step.
-func (m *membership) markDeparted(id sim.NodeID, now int64) {
-	if m.departed == nil {
-		m.departed = make(map[sim.NodeID]int64)
-	}
-	m.departed[id] = now
-}
-
-// recentlyDeparted reports whether id left within the ttl window,
-// pruning expired marks as a side effect.
-func (m *membership) recentlyDeparted(id sim.NodeID, now, ttl int64) bool {
-	if m.departed == nil {
-		return false
-	}
-	at, ok := m.departed[id]
-	if !ok {
-		return false
-	}
-	if ttl > 0 && now-at > ttl {
-		delete(m.departed, id)
-		return false
-	}
-	return true
 }
 
 // isLeaderHere reports whether id leads the group (leader mode). Epidemic
@@ -113,9 +88,12 @@ type indexedSub struct {
 	id  string
 }
 
-// state is the data every subsystem may touch. Access goes through the
-// methods below and the tables' own get/put/del; the kernelAPI assertion
-// in node.go pins the surface.
+// state is the data every subsystem may touch. Subsystems embed *state
+// directly (field promotion keeps the hot paths free of interface
+// dispatch), so the boundary holds by convention: shared mutations go
+// through the methods below, the group, covering and branch tables are
+// written only through their own get/put/del/deleteIf, and everything
+// else goes through an explicit sibling-subsystem reference.
 type state struct {
 	env sim.Env
 	cfg Config
@@ -240,6 +218,53 @@ func (l *lazyKeys) own() {
 	if !l.owned {
 		l.keys = append([]string(nil), l.keys...)
 		l.owned = true
+	}
+}
+
+// --- Expiring memories -----------------------------------------------------
+
+// memory is a set of keys stamped with the step they were marked at,
+// forgotten dedupTTL steps later: the event and routing dedup, the
+// rumour dedup and a membership's departures. A nil memory is empty;
+// add and mark allocate it on first use. Expired marks are dropped by
+// the periodic expire sweep, and by within when it reads one.
+type memory[K comparable] map[K]int64
+
+// add marks k at now unless it is already marked, and reports whether it
+// was new. An existing mark keeps its step, expired or not.
+func (m *memory[K]) add(k K, now int64) bool {
+	if _, ok := (*m)[k]; ok {
+		return false
+	}
+	m.mark(k, now)
+	return true
+}
+
+// mark stamps k with now, overwriting any earlier mark.
+func (m *memory[K]) mark(k K, now int64) {
+	if *m == nil {
+		*m = make(memory[K])
+	}
+	(*m)[k] = now
+}
+
+// within reports whether k was marked no more than dedupTTL steps before
+// now, forgetting the mark if it is older.
+func (m memory[K]) within(k K, now int64) bool {
+	at, ok := m[k]
+	if ok && now-at > dedupTTL {
+		delete(m, k)
+		return false
+	}
+	return ok
+}
+
+// expire forgets every mark older than dedupTTL steps.
+func (m memory[K]) expire(now int64) {
+	for k, at := range m {
+		if now-at > dedupTTL {
+			delete(m, k)
+		}
 	}
 }
 

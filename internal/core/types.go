@@ -110,8 +110,11 @@ func (m CommMode) String() string {
 //     the corruption fault family of internal/chaos (see
 //     Node.ApplyCorruption);
 //   - a walk unanswered past its retry budget self-anchors its group in
-//     place, and members remember departures for SeenTTL steps so
+//     place, and members remember departures for dedupTTL steps so
 //     view exchanges cannot resurrect them.
+//
+// The paper's fixed timings and view sizes are the constants below, not
+// settings.
 type Config struct {
 	Traversal TraversalMode
 	Comm      CommMode
@@ -119,8 +122,6 @@ type Config struct {
 	// K bounds the predview/succview contact lists (pointers kept per
 	// adjacent group, spanning multiple levels for fault tolerance).
 	K int
-	// Kc is the number of co-leaders a leader maintains (leader mode).
-	Kc int
 	// Fanout is the paper's k: group members infected per gossip round
 	// (epidemic mode).
 	Fanout int
@@ -139,29 +140,11 @@ type Config struct {
 	// in expectation, matching the ≈0.9 delivery the paper reports for
 	// the baseline epidemic configuration.
 	ForwardDecay float64
-	// GroupViewSize bounds the partial group view of epidemic members.
-	GroupViewSize int
 	// GossipRounds is how many gossip rounds a member re-offers an event
 	// it holds (epidemic mode). DPS's epidemic scheme descends from
 	// bimodal multicast [Birman et al.], where processes gossip a message
 	// for a bounded number of rounds rather than exactly once.
 	GossipRounds int
-
-	// HBMin/HBMax bound the per-node heartbeat period, drawn uniformly —
-	// the paper's "failure detection interval varying randomly from 10 to
-	// 25 steps".
-	HBMin, HBMax int64
-	// HBTimeoutMult declares a peer suspect after HBTimeoutMult heartbeat
-	// periods without any sign of life.
-	HBTimeoutMult int64
-	// ViewExchangePeriod is the anti-entropy period (steps) of the
-	// epidemic merge process (§4.2.2) and of leader view refresh.
-	ViewExchangePeriod int64
-	// PendingTTL bounds how long a publication waits for a group whose
-	// construction is still in flight (the paper's blocking flag).
-	PendingTTL int64
-	// SeenTTL bounds the event-deduplication memory.
-	SeenTTL int64
 
 	// Deprecated: strict repair is the protocol; this field is ignored.
 	StrictRepair bool
@@ -172,29 +155,64 @@ type Config struct {
 }
 
 // DefaultConfig returns the parameters used throughout the paper's
-// evaluation: root-based leader communication, K=3 multi-level contacts,
-// Kc=2 co-leaders, epidemic fanouts of 1, heartbeat periods of 10–25
-// steps.
+// evaluation: root-based leader communication, K=3 multi-level contacts
+// and epidemic fanouts of 1.
 func DefaultConfig() Config {
 	return Config{
-		Traversal:          RootBased,
-		Comm:               LeaderBased,
-		K:                  3,
-		Kc:                 2,
-		Fanout:             1,
-		CrossFanout:        1,
-		SubFanout:          2,
-		ForwardDecay:       0.9,
-		GroupViewSize:      8,
-		GossipRounds:       3,
-		HBMin:              10,
-		HBMax:              25,
-		HBTimeoutMult:      2,
-		ViewExchangePeriod: 30,
-		PendingTTL:         50,
-		SeenTTL:            200,
+		Traversal:    RootBased,
+		Comm:         LeaderBased,
+		K:            3,
+		Fanout:       1,
+		CrossFanout:  1,
+		SubFanout:    2,
+		ForwardDecay: 0.9,
+		GossipRounds: 3,
 	}
 }
+
+// The protocol's fixed timings (in steps) and view sizes. Every node of a
+// deployment runs the same values.
+const (
+	// numCoLeaders is the paper's Kc: co-leaders a leader maintains
+	// (leader mode, §4.2.1).
+	numCoLeaders = 2
+	// groupViewSize bounds the partial group view of epidemic members
+	// (§4.2.2).
+	groupViewSize = 8
+
+	// hbMin and hbMax bound the per-node heartbeat period, drawn
+	// uniformly — the paper's "failure detection interval varying
+	// randomly from 10 to 25 steps" (§4.3).
+	hbMin, hbMax = 10, 25
+	// hbTimeoutMult declares a peer suspect after hbTimeoutMult × hbMax
+	// steps without any sign of life (§4.3).
+	hbTimeoutMult = 2
+	// viewExchangePeriod is the anti-entropy period of the epidemic merge
+	// process (§4.2.2) and of leader view refresh.
+	viewExchangePeriod = 30
+
+	// pendingTTL bounds how long a publication waits for a group whose
+	// construction is still in flight (the paper's blocking flag, §4.1).
+	pendingTTL = 50
+	// dedupTTL is how long a memory (event and routing dedup, rumours,
+	// departures) keeps a mark; see memory in state.go.
+	dedupTTL = 200
+	// dedupSweep is the period of the sweep that expires those marks.
+	dedupSweep = 64
+
+	// joinRetryAfter re-issues a findGroup walk unanswered this long.
+	joinRetryAfter = 30
+	// ownerEscalateRetries: past this many unanswered walks the joiner
+	// claims the tree's ownership itself (a dead owner nobody replaced).
+	ownerEscalateRetries = 5
+	// selfAnchorRetries: past this many unanswered walks the joiner
+	// anchors its group in place (the bounded-join backstop).
+	selfAnchorRetries = 10
+	// maxGossipHops hard-bounds rumour lifetimes: bounded partial views
+	// can evict and re-learn members indefinitely, so probability decay
+	// alone does not guarantee termination when configured close to 1.
+	maxGossipHops = 32
+)
 
 // Directory is the bootstrap service that connects the per-attribute trees
 // (paper §3: "trees are connected among each other, for example by letting

@@ -1,7 +1,8 @@
 // Package faultplane is the shared fault-topology model of the live
-// engines: link cuts, partition classes and loss windows, mirroring the
-// cycle engine's primitives (internal/sim) so one chaos scenario replays
-// against any runtime (see chaos.FaultSurface and internal/conform).
+// engines: link cuts and partition classes — the cycle engine's own
+// sim.Topology, held under a mutex — and loss windows, so one chaos
+// scenario replays against any runtime (see chaos.FaultSurface and
+// internal/conform).
 // The goroutine hub (internal/livenet) consults one plane in its router;
 // every TCP transport of a deployment (internal/tcpnet) shares one on
 // its receive path. Keeping a single implementation means the partition
@@ -26,8 +27,7 @@ type Plane struct {
 	armed atomic.Bool
 
 	mu       sync.Mutex
-	cuts     map[[2]sim.NodeID]struct{}
-	classes  map[sim.NodeID]int
+	topo     sim.Topology
 	lossRate float64
 	rng      *rand.Rand
 
@@ -41,16 +41,9 @@ func New(seed int64) *Plane {
 	return &Plane{rng: rand.New(rand.NewSource(seed ^ 0x7cb))}
 }
 
-func normLink(a, b sim.NodeID) [2]sim.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]sim.NodeID{a, b}
-}
-
 // rearm recomputes the armed flag; callers hold p.mu.
 func (p *Plane) rearm() {
-	p.armed.Store(len(p.cuts) > 0 || len(p.classes) > 0 || p.lossRate > 0)
+	p.armed.Store(!p.topo.Empty() || p.lossRate > 0)
 }
 
 // CutLink severs the bidirectional link between a and b: messages in
@@ -58,10 +51,7 @@ func (p *Plane) rearm() {
 func (p *Plane) CutLink(a, b sim.NodeID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.cuts == nil {
-		p.cuts = make(map[[2]sim.NodeID]struct{})
-	}
-	p.cuts[normLink(a, b)] = struct{}{}
+	p.topo.CutLink(a, b)
 	p.rearm()
 }
 
@@ -70,7 +60,7 @@ func (p *Plane) CutLink(a, b sim.NodeID) {
 func (p *Plane) HealLink(a, b sim.NodeID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.cuts, normLink(a, b))
+	p.topo.HealLink(a, b)
 	p.rearm()
 }
 
@@ -79,14 +69,7 @@ func (p *Plane) HealLink(a, b sim.NodeID) {
 func (p *Plane) SetPartitionClass(id sim.NodeID, class int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if class == 0 {
-		delete(p.classes, id)
-	} else {
-		if p.classes == nil {
-			p.classes = make(map[sim.NodeID]int)
-		}
-		p.classes[id] = class
-	}
+	p.topo.SetPartitionClass(id, class)
 	p.rearm()
 }
 
@@ -94,8 +77,7 @@ func (p *Plane) SetPartitionClass(id sim.NodeID, class int) {
 func (p *Plane) ClearPartitions() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cuts = nil
-	p.classes = nil
+	p.topo.ClearPartitions()
 	p.rearm()
 }
 
@@ -116,19 +98,7 @@ func (p *Plane) Linked(a, b sim.NodeID) bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.linkedLocked(a, b)
-}
-
-func (p *Plane) linkedLocked(a, b sim.NodeID) bool {
-	if p.cuts != nil {
-		if _, cut := p.cuts[normLink(a, b)]; cut {
-			return false
-		}
-	}
-	if p.classes != nil && p.classes[a] != p.classes[b] {
-		return false
-	}
-	return true
+	return p.topo.Linked(a, b)
 }
 
 // Dropped reports messages the plane discarded, split by reason (loss
@@ -146,7 +116,7 @@ func (p *Plane) Drop(from, to sim.NodeID) sim.DropReason {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.linkedLocked(from, to) {
+	if !p.topo.Linked(from, to) {
 		p.droppedPartition.Add(1)
 		return sim.DropPartition
 	}

@@ -183,13 +183,9 @@ type Engine struct {
 	alive    int
 	services []Service
 
-	// Fault topology (see CutLink/SetPartitionClass): cuts holds severed
-	// links under normalized (low, high) keys; classes holds non-zero
-	// partition classes — messages crossing class boundaries drop. Both
-	// start nil and stay nil until a fault injector touches them, so the
-	// fault-free hot path pays one nil check per delivery.
-	cuts    map[linkKey]struct{}
-	classes map[NodeID]int
+	// Topology is the fault topology; accept checks its nil maps before
+	// consulting it, so the fault-free hot path pays two nil checks.
+	Topology
 
 	// Parallel-executor scratch, reused across steps (see parallel.go).
 	par *parScratch
@@ -221,52 +217,71 @@ func mkLink(a, b NodeID) linkKey {
 	return linkKey{a, b}
 }
 
+// Topology is a partition topology: severed links and partition classes.
+// The zero value is all-clear. The cycle engine embeds one; the live
+// engines' fault plane (internal/faultplane) holds one under its mutex,
+// so every runtime shares one definition of which pairs are linked. A
+// Topology is not safe for concurrent use.
+type Topology struct {
+	// cuts holds severed links under normalized (low, high) keys; classes
+	// holds non-zero partition classes — messages crossing class
+	// boundaries drop. Both start nil and stay nil until a fault injector
+	// touches them, so an all-clear check is two nil checks.
+	cuts    map[linkKey]struct{}
+	classes map[NodeID]int
+}
+
 // CutLink severs the bidirectional link between a and b: messages in
-// either direction drop with DropPartition until HealLink. Safe to call
-// between steps.
-func (e *Engine) CutLink(a, b NodeID) {
-	if e.cuts == nil {
-		e.cuts = make(map[linkKey]struct{})
+// either direction drop with DropPartition until HealLink. On the cycle
+// engine, safe to call between steps.
+func (t *Topology) CutLink(a, b NodeID) {
+	if t.cuts == nil {
+		t.cuts = make(map[linkKey]struct{})
 	}
-	e.cuts[mkLink(a, b)] = struct{}{}
+	t.cuts[mkLink(a, b)] = struct{}{}
 }
 
 // HealLink restores a previously cut link. Healing an intact link is a
 // no-op.
-func (e *Engine) HealLink(a, b NodeID) {
-	delete(e.cuts, mkLink(a, b))
+func (t *Topology) HealLink(a, b NodeID) {
+	delete(t.cuts, mkLink(a, b))
 }
 
 // SetPartitionClass assigns a node to a partition class. Messages whose
 // endpoints sit in different classes drop with DropPartition; the default
 // class is 0, so partitioning a population in two takes one call per node
-// of the minority side. Safe to call between steps.
-func (e *Engine) SetPartitionClass(id NodeID, class int) {
+// of the minority side. On the cycle engine, safe to call between steps.
+func (t *Topology) SetPartitionClass(id NodeID, class int) {
 	if class == 0 {
-		delete(e.classes, id)
+		delete(t.classes, id)
 		return
 	}
-	if e.classes == nil {
-		e.classes = make(map[NodeID]int)
+	if t.classes == nil {
+		t.classes = make(map[NodeID]int)
 	}
-	e.classes[id] = class
+	t.classes[id] = class
 }
 
 // ClearPartitions heals every link cut and resets all partition classes.
-func (e *Engine) ClearPartitions() {
-	e.cuts = nil
-	e.classes = nil
+func (t *Topology) ClearPartitions() {
+	t.cuts = nil
+	t.classes = nil
+}
+
+// Empty reports whether no link is cut and no node sits outside class 0.
+func (t *Topology) Empty() bool {
+	return len(t.cuts) == 0 && len(t.classes) == 0
 }
 
 // Linked reports whether a message from a to b would pass the partition
-// topology (it may still be lost to LossRate or a dead recipient).
-func (e *Engine) Linked(a, b NodeID) bool {
-	if e.cuts != nil {
-		if _, cut := e.cuts[mkLink(a, b)]; cut {
+// topology (it may still be lost to a loss draw or a dead recipient).
+func (t *Topology) Linked(a, b NodeID) bool {
+	if t.cuts != nil {
+		if _, cut := t.cuts[mkLink(a, b)]; cut {
 			return false
 		}
 	}
-	if e.classes != nil && e.classes[a] != e.classes[b] {
+	if t.classes != nil && t.classes[a] != t.classes[b] {
 		return false
 	}
 	return true
