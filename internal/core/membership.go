@@ -303,7 +303,7 @@ func (n *membershipSys) ensureRoot(attr string) *membership {
 		return m
 	}
 	m := newMembership(af, stateActive, n.ID())
-	m.leader = n.ID()
+	m.setLeader(n.ID())
 	m.isRoot = true
 	n.groups.put(af.Key(), m)
 	n.cfg.Directory.AddContact(attr, n.ID())
@@ -317,10 +317,7 @@ func (n *membershipSys) ensureRoot(attr string) *membership {
 func (n *membershipSys) selfAnchor(m *membership) {
 	n.setActive(m)
 	if n.cfg.Comm == LeaderBased && !m.isLeaderHere(n.ID()) {
-		m.leader = n.ID()
-		m.leaderlessAt = 0
-		m.coLeaders.remove(n.ID())
-		n.rep.broadcastCoLeaders(m)
+		n.rep.claim(m)
 	}
 	m.members.add(n.ID())
 	n.cfg.Directory.AddContact(m.af.Attr(), n.ID())
@@ -367,8 +364,7 @@ func (n *membershipSys) handleFindGroup(from sim.NodeID, f findGroup) {
 				if n.ID() < f.Subscriber {
 					n.setActive(tm)
 					if n.cfg.Comm == LeaderBased {
-						tm.leader = n.ID()
-						tm.leaderlessAt = 0
+						tm.setLeader(n.ID())
 					}
 					m = tm
 				}
@@ -474,13 +470,9 @@ func (n *membershipSys) walkFrom(m *membership, from sim.NodeID, f findGroup) {
 			// parent and this group hands walks to this group's contacts
 			// with the exact shape of a leader deferral.
 			if n.ID() < from {
-				m.leader = n.ID()
-				m.leaderlessAt = 0
-				m.coLeaders.remove(n.ID())
-				n.rep.broadcastCoLeaders(m)
+				n.rep.claim(m)
 			} else {
-				m.leader = 0
-				m.leaderlessAt = 0
+				m.setLeader(0)
 				f.Hops++
 				f.At = m.af
 				n.send(from, f)
@@ -501,10 +493,7 @@ func (n *membershipSys) walkFrom(m *membership, from sim.NodeID, f findGroup) {
 	// chaos harness).
 	if n.cfg.Comm == LeaderBased && m.leader == 0 &&
 		m.state == stateActive && !m.isRoot {
-		m.leader = n.ID()
-		m.leaderlessAt = 0
-		m.coLeaders.remove(n.ID())
-		n.rep.broadcastCoLeaders(m)
+		n.rep.claim(m)
 	}
 	if m.isRoot {
 		n.rep.maybeRecruitCoOwner(m, f.Subscriber)
@@ -737,10 +726,10 @@ func (n *membershipSys) handleCreateGroup(from sim.NodeID, msg createGroup) {
 		return
 	}
 	n.setActive(m)
-	m.leader = n.ID()
-	m.leaderlessAt = 0
 	if n.cfg.Comm == Epidemic {
-		m.leader = 0
+		m.setLeader(0)
+	} else {
+		m.setLeader(n.ID())
 	}
 	m.parent = msg.Parent
 	for _, b := range msg.Adopted {
@@ -762,22 +751,7 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 	if ok && m.state == stateActive && n.cfg.Comm == LeaderBased &&
 		m.isLeaderHere(n.ID()) && msg.Leader != 0 && msg.Leader != n.ID() {
 		// A probe (or duplicate join) found another instance of our group.
-		// Leadership resolves by lowest id — the same total order the
-		// view-exchange merge uses, so two instances can never demote into
-		// each other.
-		if msg.Leader < n.ID() {
-			n.rep.demoteInto(m, msg.Leader, msg.CoLeaders)
-		} else {
-			n.send(msg.Leader, viewExchange{
-				AF:       m.af,
-				Members:  m.members.ids(),
-				Parent:   cloneBranch(m.parent),
-				Branches: m.branchList(),
-				Leader:   n.ID(),
-				CoLead:   m.coLeaders.ids(),
-				Reply:    true,
-			})
-		}
+		n.rep.settleTie(m, msg.Leader, msg.CoLeaders)
 		return
 	}
 	if !ok && !msg.Wanted.IsZero() && msg.Wanted.Key() != msg.AF.Key() {
@@ -801,8 +775,7 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 	wasJoining := m.state == stateJoining
 	wasLeading := m.isLeaderHere(n.ID())
 	n.setActive(m)
-	m.leader = msg.Leader
-	m.leaderlessAt = 0
+	m.setLeader(msg.Leader)
 	// A leader's position probe answers through its own acceptMember, so
 	// the accept can echo a pre-eviction snapshot back at it; the leave
 	// memory keeps evicted entries from riding back in.
@@ -817,12 +790,7 @@ func (n *membershipSys) handleJoinAccept(from sim.NodeID, msg joinAccept) {
 	// A re-attaching leader that merged into another instance hands its
 	// members over to the new leadership.
 	if wasLeading && n.cfg.Comm == LeaderBased && msg.Leader != n.ID() && m.members.len() > 1 {
-		ann := coLeaderUpdate{AF: m.af, Leader: msg.Leader, CoLeaders: msg.CoLeaders}
-		for _, id := range m.members.ids() {
-			if id != n.ID() && id != msg.Leader {
-				n.send(id, ann)
-			}
-		}
+		n.rep.announceLeader(m, msg.Leader, msg.CoLeaders)
 		n.send(msg.Leader, viewExchange{
 			AF:      m.af,
 			Members: m.members.ids(),
@@ -950,32 +918,6 @@ func (n *membershipSys) leaveGroup(m *membership) {
 	}
 }
 
-// handOverLeadership promotes a successor before the leader departs.
-func (n *membershipSys) handOverLeadership(m *membership, alive []sim.NodeID) {
-	successor, ok := m.coLeaders.first()
-	if !ok {
-		successor = alive[0]
-	}
-	m.members.remove(n.ID())
-	m.coLeaders.remove(successor)
-	next := coLeaderUpdate{AF: m.af, Leader: successor, CoLeaders: m.coLeaders.ids()}
-	for _, id := range alive {
-		n.send(id, next)
-	}
-	// Ship the full group state to the successor.
-	n.send(successor, viewExchange{
-		AF:       m.af,
-		Members:  m.members.ids(),
-		Parent:   cloneBranch(m.parent),
-		Branches: m.branchList(),
-		Leader:   successor,
-		CoLead:   m.coLeaders.ids(),
-		Reply:    true,
-	})
-	// Parent and children must point at the successor now.
-	n.notifyNeighboursOfContacts(m, append([]sim.NodeID{successor}, m.coLeaders.ids()...))
-}
-
 // notifyNeighboursOfContacts refreshes the branch entry the parent keeps
 // for this group and the predview its children keep.
 func (n *membershipSys) notifyNeighboursOfContacts(m *membership, contacts []sim.NodeID) {
@@ -1025,8 +967,7 @@ func (n *membershipSys) handleLeave(msg leave) {
 		// The peer we deferred to says it is not in the group: forget the
 		// stale leadership. The leaderless grace (or, for root mirrors,
 		// the directory-based recovery) finds the real cohort from here.
-		m.leader = 0
-		m.leaderlessAt = 0
+		m.setLeader(0)
 	}
 	if n.cfg.Comm == LeaderBased && m.isLeaderHere(n.ID()) {
 		for _, cl := range m.coLeaders.ids() {

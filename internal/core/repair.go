@@ -146,20 +146,6 @@ func addTreeContacts(set *view, m *membership) {
 	}
 }
 
-// graceExpired runs m's leaderless grace timer: it starts the timer when
-// none is running and otherwise reports, stopping it, whether the timer
-// ran past timeout.
-func graceExpired(m *membership, now, timeout int64) bool {
-	switch {
-	case m.leaderlessAt == 0:
-		m.leaderlessAt = now
-	case now-m.leaderlessAt > timeout:
-		m.leaderlessAt = 0
-		return true
-	}
-	return false
-}
-
 func min1(n int) int {
 	if n > 1 {
 		return 1
@@ -201,47 +187,31 @@ func (n *repairSys) heartbeatRound(now int64) {
 			// position. The walk-bounce resolution can settle two
 			// re-attaching nodes onto each other without either finishing
 			// a placement walk, fabricating a group attached to nothing.
-			if m.leader == n.ID() && !m.isRoot && len(m.parent.Nodes) == 0 {
-				if graceExpired(m, now, timeout) {
-					keys.own()
-					n.reattach(m)
-				}
+			orphaned := m.leader == n.ID() && !m.isRoot && len(m.parent.Nodes) == 0
+			if (m.leader != 0 && !orphaned) || !graceExpired(m, now, timeout) {
 				continue
 			}
-			if m.leader != 0 {
-				continue
-			}
-			if m.isRoot {
-				// Root memberships sit outside the classic grace path (a
-				// root has no predecessor to re-walk from). Leaderless
-				// mirrors recover through the directory: the owner
-				// reasserts leadership, a deposed mirror demotes, and if the
-				// owner itself is gone the mirror reclaims the tree.
-				if graceExpired(m, now, timeout) {
-					keys.own()
-					owner, okO := n.cfg.Directory.Owner(m.af.Attr())
-					switch {
-					case okO && owner == n.ID():
-						m.leader = n.ID()
-						m.coLeaders.remove(n.ID())
-						n.broadcastCoLeaders(m)
-					case okO && !n.suspected[owner]:
-						n.demoteRootMirror(m)
-					default:
-						// Owner dead or tree ownerless: the mirror takes
-						// over, as in reclaimRoots.
-						n.cfg.Directory.ReplaceOwner(m.af.Attr(), n.ID())
-						n.cfg.Directory.AddContact(m.af.Attr(), n.ID())
-						m.leader = n.ID()
-						m.coLeaders.remove(n.ID())
-						n.broadcastCoLeaders(m)
-					}
-				}
-				continue
-			}
-			if graceExpired(m, now, timeout) {
-				keys.own()
+			keys.own()
+			if !m.isRoot {
 				n.reattach(m)
+				continue
+			}
+			// Root memberships sit outside the classic grace path (a root
+			// has no predecessor to re-walk from). Leaderless mirrors
+			// recover through the directory: the owner reasserts
+			// leadership, a deposed mirror demotes, and if the owner itself
+			// is gone the mirror reclaims the tree.
+			owner, okO := n.cfg.Directory.Owner(m.af.Attr())
+			switch {
+			case okO && owner == n.ID():
+				n.claim(m)
+			case okO && !n.suspected[owner]:
+				n.demoteRootMirror(m)
+			default:
+				// Owner dead or tree ownerless: the mirror takes over, as
+				// in reclaimRoots.
+				n.takeTree(m.af.Attr())
+				n.claim(m)
 			}
 		}
 	}
@@ -299,66 +269,6 @@ func (n *repairSys) handleFailure(peer sim.NodeID) {
 	}
 }
 
-// replaceLeader runs the co-leader promotion protocol after a leader
-// crash. Only the designated successor acts; other members wait for its
-// announcement (and fall back to re-attachment if none comes).
-func (n *repairSys) replaceLeader(m *membership) {
-	m.leader = 0
-	successor, ok := m.coLeaders.first()
-	if !ok {
-		// No co-leader survived. Every member independently re-walks; the
-		// group re-forms at the same spot (first arrival re-creates it,
-		// the rest join).
-		if m.state == stateActive && !m.isRoot {
-			n.reattach(m)
-		}
-		return
-	}
-	if successor != n.ID() {
-		return // the successor will announce itself
-	}
-	m.leader = n.ID()
-	m.leaderlessAt = 0
-	m.coLeaders.remove(n.ID())
-	if m.isRoot {
-		// Co-owner takes over the tree: ownership follows the root
-		// group's leadership.
-		n.cfg.Directory.ReplaceOwner(m.af.Attr(), n.ID())
-		n.cfg.Directory.AddContact(m.af.Attr(), n.ID())
-	}
-	// Promote a regular member to keep Kc co-leaders.
-	for _, cand := range m.members.headAfter(numCoLeaders, append(m.coLeaders.ids(), n.ID())...) {
-		if m.coLeaders.len() >= numCoLeaders {
-			break
-		}
-		m.coLeaders.add(cand)
-	}
-	n.broadcastCoLeaders(m)
-	// Freshly promoted co-leaders need the full groupview they now mirror.
-	var full message = viewExchange{
-		AF:       m.af,
-		Members:  m.members.ids(),
-		Parent:   cloneBranch(m.parent),
-		Branches: m.branchList(),
-		Leader:   m.leader,
-		CoLead:   m.coLeaders.ids(),
-		Reply:    true,
-	}
-	for _, cl := range m.coLeaders.ids() {
-		n.send(cl, full)
-	}
-	n.mem.notifyNeighboursOfContacts(m, append([]sim.NodeID{n.ID()}, m.coLeaders.ids()...))
-}
-
-// broadcastCoLeaders tells every member the current leadership (leader
-// mode; members only track leaders and co-leaders).
-func (n *repairSys) broadcastCoLeaders(m *membership) {
-	var msg message = coLeaderUpdate{AF: m.af, Leader: m.leader, CoLeaders: m.coLeaders.ids()}
-	for _, id := range m.members.ids() {
-		n.send(id, msg)
-	}
-}
-
 // maybeRecruitCoOwner enlists early subscribers of a tree as co-owners:
 // mirrors of the root group that keep routing and ownership alive when the
 // owner crashes. The root of a DPS tree is a group like any other; a
@@ -389,8 +299,7 @@ func (n *repairSys) handleRootInvite(msg rootInvite) {
 		m.isRoot = true
 		n.groups.put(af.Key(), m)
 	}
-	m.leader = msg.Leader
-	m.leaderlessAt = 0
+	m.setLeader(msg.Leader)
 	m.coLeaders = newView(msg.CoLeaders...)
 	for _, id := range msg.Members {
 		m.members.add(id)
@@ -426,8 +335,7 @@ func (n *repairSys) handleCoLeaderUpdate(from sim.NodeID, msg coLeaderUpdate) {
 	if msg.Leader != 0 && n.suspected[msg.Leader] {
 		return // stale announcement naming a peer we know is dead
 	}
-	m.leader = msg.Leader
-	m.leaderlessAt = 0
+	m.setLeader(msg.Leader)
 	n.refillLive(m.coLeaders, msg.CoLeaders)
 }
 
@@ -457,8 +365,7 @@ func (n *repairSys) handleRehome(msg rehome) {
 // into the canonical tree, without any it leaves the overlay.
 func (n *repairSys) demoteRootMirror(m *membership) {
 	m.isRoot = false
-	m.leader = 0
-	m.leaderlessAt = 0
+	m.setLeader(0)
 	if len(m.subs) > 0 {
 		n.reattach(m)
 		return
@@ -482,31 +389,6 @@ func (n *repairSys) demoteRootMirror(m *membership) {
 func (n *repairSys) reattach(m *membership) {
 	n.setJoining(m)
 	n.mem.startJoin(m)
-}
-
-// demoteInto resolves a duplicate-group merge against a lower-id leader:
-// this node stops leading, points its members at the winner, and ships its
-// whole state over so the winner's groupview absorbs this instance.
-func (n *repairSys) demoteInto(m *membership, winner sim.NodeID, winnerCoLead []sim.NodeID) {
-	m.leader = winner
-	m.leaderlessAt = 0
-	mine := m.members.ids()
-	m.coLeaders = newView(winnerCoLead...)
-	var ann message = coLeaderUpdate{AF: m.af, Leader: winner, CoLeaders: winnerCoLead}
-	for _, id := range mine {
-		if id != n.ID() && id != winner {
-			n.send(id, ann)
-		}
-	}
-	n.send(winner, viewExchange{
-		AF:       m.af,
-		Members:  mine,
-		Parent:   cloneBranch(m.parent),
-		Branches: m.branchList(),
-		Leader:   winner,
-		CoLead:   winnerCoLead,
-		Reply:    true,
-	})
 }
 
 // reclaimRoots claims ownership of trees whose owner died, re-rooting our
@@ -663,14 +545,7 @@ func (n *repairSys) viewExchangeRound() {
 			if sample == nil {
 				sample = n.mem.memberSample(m)
 			}
-			var msg message = viewExchange{
-				AF:       m.af,
-				Members:  sample,
-				Parent:   cloneBranch(m.parent),
-				Branches: m.branchList(),
-				Leader:   m.leader,
-				CoLead:   m.coLeaders.ids(),
-			}
+			var msg message = m.viewMsg(sample, m.leader, m.coLeaders.ids(), false)
 			for _, t := range targets {
 				n.send(t, msg)
 			}
@@ -831,8 +706,7 @@ func (n *repairSys) checkRootStillOwned(m *membership) {
 	// instead of leaving the overlay with the membership.
 	if len(m.subs) > 0 {
 		m.isRoot = false
-		m.leader = 0
-		m.leaderlessAt = 0
+		m.setLeader(0)
 		n.reattach(m)
 		return
 	}
@@ -854,18 +728,9 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 		if n.cfg.Comm == LeaderBased && from != n.ID() &&
 			msg.Leader == n.ID() && m.leader == from {
 			if n.ID() < from {
-				m.leader = n.ID()
-				m.leaderlessAt = 0
-				m.coLeaders.remove(n.ID())
-				n.broadcastCoLeaders(m)
+				n.claim(m)
 			} else {
-				co := m.coLeaders.ids()
-				live := co[:0]
-				for _, id := range co {
-					if id != from {
-						live = append(live, id)
-					}
-				}
+				live := slices.DeleteFunc(m.coLeaders.ids(), func(id sim.NodeID) bool { return id == from })
 				n.send(from, coLeaderUpdate{AF: m.af, Leader: from, CoLeaders: live})
 			}
 			return
@@ -901,8 +766,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 		} else {
 			// Adopt the sender's leadership if we lost ours.
 			if m.leader == 0 && msg.Leader != 0 && !n.suspected[msg.Leader] {
-				m.leader = msg.Leader
-				m.leaderlessAt = 0
+				m.setLeader(msg.Leader)
 				n.refillLive(m.coLeaders, msg.CoLead)
 			}
 			// Duplicate-instance merge (§4.2.2): two leaders for the same
@@ -912,19 +776,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 			// (relayed updates are terminal and would not be replied to).
 			if m.isLeaderHere(n.ID()) && msg.Leader != 0 && msg.Leader != n.ID() &&
 				!n.suspected[msg.Leader] && !m.isRoot {
-				if msg.Leader < n.ID() {
-					n.demoteInto(m, msg.Leader, msg.CoLead)
-				} else {
-					n.send(msg.Leader, viewExchange{
-						AF:       m.af,
-						Members:  m.members.ids(),
-						Parent:   cloneBranch(m.parent),
-						Branches: m.branchList(),
-						Leader:   n.ID(),
-						CoLead:   m.coLeaders.ids(),
-						Reply:    true,
-					})
-				}
+				n.settleTie(m, msg.Leader, msg.CoLead)
 			}
 		}
 		// Never adopt contacts we suspect dead: a stale mirror's view would
@@ -953,16 +805,7 @@ func (n *repairSys) handleViewExchange(from sim.NodeID, msg viewExchange) {
 			}
 		}
 		if !msg.Reply {
-			reply := viewExchange{
-				AF:       m.af,
-				Members:  n.mem.memberSample(m),
-				Parent:   cloneBranch(m.parent),
-				Branches: m.branchList(),
-				Leader:   m.leader,
-				CoLead:   m.coLeaders.ids(),
-				Reply:    true,
-			}
-			n.send(from, reply)
+			n.send(from, m.viewMsg(n.mem.memberSample(m), m.leader, m.coLeaders.ids(), true))
 		}
 		return
 	}
