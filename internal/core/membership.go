@@ -155,16 +155,7 @@ func (n *membershipSys) unsubscribe(sub filter.Subscription) error {
 		}
 		return fmt.Errorf("core: not subscribed with filter %v", af)
 	}
-	want := sub.String()
-	found := false
-	for i, s := range m.subs {
-		if s.String() == want {
-			m.subs = append(m.subs[:i], m.subs[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !removeSub(&m.subs, sub) {
 		return fmt.Errorf("core: subscription %v not found", sub)
 	}
 	n.unindexSub(sub)
@@ -185,16 +176,7 @@ func (n *membershipSys) unsubscribe(sub filter.Subscription) error {
 // dropped; when the coverer itself no longer serves any subscription —
 // direct or covered — the node leaves the wider group too.
 func (n *membershipSys) unsubscribeCovered(e *coverEntry, sub filter.Subscription) error {
-	want := sub.String()
-	found := false
-	for i, s := range e.subs {
-		if s.String() == want {
-			e.subs = append(e.subs[:i], e.subs[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !removeSub(&e.subs, sub) {
 		return fmt.Errorf("core: subscription %v not found", sub)
 	}
 	n.unindexSub(sub)
@@ -206,6 +188,19 @@ func (n *membershipSys) unsubscribeCovered(e *coverEntry, sub filter.Subscriptio
 		n.leaveGroup(cm)
 	}
 	return nil
+}
+
+// removeSub cuts the first subscription with sub's canonical string from
+// *subs and reports whether there was one.
+func removeSub(subs *[]filter.Subscription, sub filter.Subscription) bool {
+	want := sub.String()
+	for i, s := range *subs {
+		if s.String() == want {
+			*subs = append((*subs)[:i], (*subs)[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // repropagateCovered turns every covering entry riding on covererKey back
