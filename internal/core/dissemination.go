@@ -183,7 +183,7 @@ func (n *disseminationSys) routeEvent(m *membership, msg publishTree) {
 		}
 		// No live leadership known: best effort with what we have.
 	}
-	n.diffuseInGroup(m, msg.ID, msg.Event, 0, true)
+	n.diffuseInGroup(m, msg.ID, msg.Event, 0)
 	n.forwardDown(m, msg, v)
 	if msg.Mode == Generic && msg.Up {
 		n.forwardUp(m, msg)
@@ -294,8 +294,8 @@ func (n *disseminationSys) crossFanout() int {
 }
 
 // diffuseInGroup spreads the event to the members of m (PUBLISH GROUP).
-// treeLevel marks diffusion started by a tree-level receipt.
-func (n *disseminationSys) diffuseInGroup(m *membership, id EventID, ev filter.Event, hops int, treeLevel bool) {
+// Leader-mode diffusion always starts at a tree-level receipt.
+func (n *disseminationSys) diffuseInGroup(m *membership, id EventID, ev filter.Event, hops int) {
 	switch n.cfg.Comm {
 	case Epidemic:
 		p := pow(n.cfg.ForwardDecay, hops)
@@ -309,37 +309,36 @@ func (n *disseminationSys) diffuseInGroup(m *membership, id EventID, ev filter.E
 		n.scheduleHot(m, id, ev)
 	default:
 		if m.isLeaderHere(n.ID()) {
-			msg := publishGroup{ID: id, Event: ev, AF: m.af, Hops: 1}
-			for _, peer := range m.members.ids() {
-				if peer != n.ID() {
-					n.send(peer, msg)
-				}
-			}
+			n.relayInGroup(m, id, ev, 0)
 			return
 		}
 		// Not the leader: redirect once ("an event received by a group is
 		// always redirected to the group leader"). Co-leaders step in when
 		// the leader is suspected.
-		if treeLevel {
-			target := m.leader
-			if target == 0 || n.suspected[target] {
-				if m.coLeaders.has(n.ID()) || m.leader == 0 {
-					// Act as relay ourselves: we hold the full view.
-					msg := publishGroup{ID: id, Event: ev, AF: m.af, Hops: 1}
-					for _, peer := range m.members.ids() {
-						if peer != n.ID() {
-							n.send(peer, msg)
-						}
-					}
-					return
-				}
-				if cl, ok := m.coLeaders.first(); ok {
-					target = cl
-				}
+		target := m.leader
+		if target == 0 || n.suspected[target] {
+			if m.coLeaders.has(n.ID()) || m.leader == 0 {
+				// Act as relay ourselves: we hold the full view.
+				n.relayInGroup(m, id, ev, 0)
+				return
 			}
-			if target != 0 && target != n.ID() {
-				n.send(target, publishGroup{ID: id, Event: ev, AF: m.af, Hops: 0})
+			if cl, ok := m.coLeaders.first(); ok {
+				target = cl
 			}
+		}
+		if target != 0 && target != n.ID() {
+			n.send(target, publishGroup{ID: id, Event: ev, AF: m.af, Hops: 0})
+		}
+	}
+}
+
+// relayInGroup is the leader-mode fan-out: it sends the event to every
+// member of m but this node and skip (0: none).
+func (n *disseminationSys) relayInGroup(m *membership, id EventID, ev filter.Event, skip sim.NodeID) {
+	var msg message = publishGroup{ID: id, Event: ev, AF: m.af, Hops: 1}
+	for _, peer := range m.members.list {
+		if peer != n.ID() && peer != skip {
+			n.send(peer, msg)
 		}
 	}
 }
@@ -357,7 +356,7 @@ func (n *disseminationSys) handlePublishGroup(from sim.NodeID, msg publishGroup)
 		if !n.routed.add(rk, n.env.Now()) {
 			return
 		}
-		n.diffuseInGroup(m, msg.ID, msg.Event, msg.Hops, false)
+		n.diffuseInGroup(m, msg.ID, msg.Event, msg.Hops)
 		// Epidemic members also push the event across tree edges,
 		// providing the cross-group redundancy of §4.2.2.
 		if v, okV := msg.Event.Value(m.af.Attr()); okV {
@@ -367,12 +366,7 @@ func (n *disseminationSys) handlePublishGroup(from sim.NodeID, msg publishGroup)
 	default:
 		if msg.Hops == 0 && m.isLeaderHere(n.ID()) {
 			// A member redirected the event to us: fan out.
-			out := publishGroup{ID: msg.ID, Event: msg.Event, AF: m.af, Hops: 1}
-			for _, peer := range m.members.ids() {
-				if peer != n.ID() && peer != from {
-					n.send(peer, out)
-				}
-			}
+			n.relayInGroup(m, msg.ID, msg.Event, from)
 		}
 	}
 }
