@@ -6,10 +6,10 @@ import "github.com/dps-overlay/dps/internal/sim"
 // numCoLeaders co-leaders that mirror its groupview; the first live
 // co-leader takes over when the leader crashes, and the group repairs
 // lost or duplicated leadership itself. Every change of m.leader goes
-// through this file: setLeader is the one setter, claim the one way a
-// node takes leadership and announces it, settleTie the one lowest-id
-// rule between two live leaders, and viewMsg the one whole-instance
-// state message they ship.
+// through this file (corrupt.go aside, which forges state on purpose):
+// setLeader is the one setter, claim the one way a node takes leadership
+// and announces it, settleTie the one lowest-id rule between two live
+// leaders, and viewMsg the one whole-instance state message they ship.
 
 // setLeader makes id (0: none) the group's leader and stops the
 // leaderless grace timer.
