@@ -154,7 +154,7 @@ func run() int {
 			killEvery = 1
 		}
 	}
-	snap := e.Traffic().Snapshot()
+	snap := e.Traffic()
 	events := 0
 	for step := 1; step <= *steps; step++ {
 		if step%*eventEvery == 0 {
@@ -169,7 +169,7 @@ func run() int {
 	}
 	e.Run(80)
 
-	deltas := e.Traffic().DeltaSince(snap)
+	deltas := e.TrafficSince(snap)
 	ids := e.AliveIDs()
 	outs := metrics.Collect(ids, deltas, metrics.Counts.OutTotal)
 	ins := metrics.Collect(ids, deltas, metrics.Counts.InTotal)

@@ -191,7 +191,10 @@ func (n *Network) AddPeer() (*Peer, error) {
 		return nil, errors.New("dps: network is closed")
 	}
 	cfg := core.DefaultConfig()
-	cfg.Directory = n.dir
+	// The directory hands out live contacts only: in leader mode nobody
+	// suspects a crashed regular member, so it would otherwise stay a
+	// tree entry point forever.
+	cfg.Directory = core.LiveDirectory{Directory: n.dir, Alive: n.hub.Alive}
 	cfg.Traversal = n.opts.Traversal
 	cfg.Comm = n.opts.Comm
 	if n.opts.Fanout > 0 {

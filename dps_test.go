@@ -1,6 +1,7 @@
 package dps
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -324,5 +325,67 @@ func TestNetworkCovering(t *testing.T) {
 	defer mu.Unlock()
 	if counts["wide"] != 2 || counts["narrow"] != 1 {
 		t.Fatalf("deliveries = %v, want wide=2 narrow=1", counts)
+	}
+}
+
+// TestGenericTraversalSkipsCrashedEntryPoints pins that a Network's
+// peers filter directory contacts by liveness, as the conformance
+// engine's do: in leader mode nobody suspects a crashed regular member,
+// so without the filter it stays a tree entry point forever and the
+// generic-traversal publications that draw it are lost.
+func TestGenericTraversalSkipsCrashedEntryPoints(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			net, err := NewNetwork(Options{Traversal: Generic, TickEvery: time.Millisecond, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Close()
+			const n, events = 6, 40
+			var mu sync.Mutex
+			delivered := map[int64]int{}
+			peers := make([]*Peer, 0, n)
+			for i := 0; i < n; i++ {
+				p, err := net.AddPeer()
+				if err != nil {
+					t.Fatal(err)
+				}
+				peers = append(peers, p)
+				id := p.ID()
+				sub, _ := ParseSubscription("temp>30")
+				if err := p.Subscribe(sub, func(Event) {
+					mu.Lock()
+					delivered[id]++
+					mu.Unlock()
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			time.Sleep(60 * time.Millisecond) // let the group settle
+			net.Crash(peers[3])
+			net.Crash(peers[4])
+			time.Sleep(400 * time.Millisecond)
+			for i := 0; i < events; i++ {
+				ev, _ := ParseEvent(fmt.Sprintf("temp=%d", 31+i))
+				if err := peers[5].Publish(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			survivors := []*Peer{peers[0], peers[1], peers[2], peers[5]}
+			if !waitFor(t, 3*time.Second, func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, p := range survivors {
+					if delivered[p.ID()] < events {
+						return false
+					}
+				}
+				return true
+			}) {
+				mu.Lock()
+				defer mu.Unlock()
+				t.Errorf("survivors delivered %v of %d events each", delivered, events)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package conform
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,7 +120,8 @@ func TestConformCorruptionAcrossEngines(t *testing.T) {
 
 // TestFailingCellsNamesEveryBadCell pins the exit-status aggregation: a
 // matrix with one dirty cell, one over-bound cell and one diverged cell
-// must name each (scenario, engine) pair, and AllClean must be false.
+// must name each (scenario, engine) pair and why a dirty cell is dirty,
+// and AllClean must be false.
 func TestFailingCellsNamesEveryBadCell(t *testing.T) {
 	res := &Result{Scenarios: []ScenarioResult{
 		{
@@ -150,6 +152,19 @@ func TestFailingCellsNamesEveryBadCell(t *testing.T) {
 	}
 	if res.AllClean() {
 		t.Error("AllClean true with failing cells")
+	}
+	// A dirty run whose last sweep was clean was not stably clean by the
+	// deadline; one whose last sweep was not names its violations.
+	stable := "a/live: not stably clean by the deadline (last sweep clean, but never two clean sweeps in a row)"
+	if cells[0] != stable {
+		t.Errorf("cell 0 = %q, want %q", cells[0], stable)
+	}
+	if !strings.Contains(res.Render(), "a on live: not stably clean by the deadline") {
+		t.Error("Render does not explain the unstable cell")
+	}
+	res.Scenarios[0].Runs[1].FinalCheck.Total = 3
+	if got, want := res.FailingCells()[0], "a/live: final sweep dirty (3 violations)"; got != want {
+		t.Errorf("cell 0 = %q, want %q", got, want)
 	}
 	clean := &Result{Scenarios: []ScenarioResult{{
 		Scenario: "a",
@@ -223,7 +238,7 @@ func fakeRun(engine string, ratio float64, expected map[core.EventID][]sim.NodeI
 	}
 	for ev, ids := range delivered {
 		for _, id := range ids {
-			rec.deliver(ev, id, 0)
+			rec.log(id).deliver(ev, 0)
 		}
 	}
 	return &EngineRun{Engine: engine, DeliveryRatio: ratio, rec: rec}
@@ -312,8 +327,8 @@ func TestRecorderFalseDeliveryDetection(t *testing.T) {
 	}
 	// Node 1 matches and is alive; node 2 never matched.
 	rec.publish(1, ev, func(sim.NodeID) bool { return true }, 0)
-	rec.deliver(1, 1, 0)
-	rec.deliver(1, 2, 0)
+	rec.log(1).deliver(1, 0)
+	rec.log(2).deliver(1, 0)
 	events, expectedPairs, deliveredPairs, falseDeliveries := rec.deliverySummary()
 	if events != 1 || expectedPairs != 1 || deliveredPairs != 1 || falseDeliveries != 1 {
 		t.Errorf("summary = %d events, %d expected, %d delivered, %d false; want 1, 1, 1, 1",
@@ -384,7 +399,7 @@ func TestEngineContractParity(t *testing.T) {
 				t.Errorf("join id = %d, want 3", j)
 			}
 			e.Leave(j)
-			if len(e.pop.durable(j)) != 0 {
+			if len(e.nodes[j].subs) != 0 {
 				t.Error("leave kept durable subscriptions")
 			}
 		})
@@ -441,9 +456,8 @@ func TestVariantReachesEveryRuntime(t *testing.T) {
 // killing and restarting the nodes must not lose the count.
 func TestLiveInboxDropsSurviveRestart(t *testing.T) {
 	gen := workload.MustGenerator(workload.Workload2(), 1)
-	pop := newPopulation(gen, 1)
 	rt := newLiveRuntime(livenet.Config{TickEvery: time.Millisecond, InboxSize: 1, Seed: 1})
-	e := engineOn(EngineLive, rt, DefaultOptions().Config, pop, newRecorder())
+	e := engineOn(EngineLive, rt, DefaultOptions().Config, gen, 1)
 	defer e.Close()
 
 	a, b := e.AddNode(), e.AddNode()

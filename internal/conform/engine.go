@@ -16,10 +16,10 @@ import (
 
 // Engine is the one engine every DPS run drives — the chaos and
 // conformance runs here and the paper experiments of
-// internal/experiments: the population bookkeeping, the delivery
-// recorder and the node table over one of three runtimes — the cycle
-// simulator (the reference), the livenet goroutine hub, or a tcpnet
-// deployment on loopback. Every protocol-facing method (adding,
+// internal/experiments: the population's workload, the delivery
+// recorder and one record per node id over one of three runtimes — the
+// cycle simulator (the reference), the livenet goroutine hub, or a
+// tcpnet deployment on loopback. Every protocol-facing method (adding,
 // subscribing, publishing, restarting, joining, leaving, snapshotting,
 // corrupting) is implemented here once; the runtime supplies only what
 // differs between them: hosting a node under an id, reaching it (a
@@ -27,7 +27,7 @@ import (
 // tree-owner read, the fault drop counters and teardown.
 //
 // The runner drives every method from a single goroutine, so the node
-// table needs no lock; the runtimes lock whatever their own goroutines
+// records need no lock; the runtimes lock whatever their own goroutines
 // (peers, transports) share.
 type Engine struct {
 	runtime
@@ -35,16 +35,16 @@ type Engine struct {
 	name   string // "sim", "live" or "tcp", for error messages
 	spec   ConfigSpec
 	mutate func(*core.Config) // adjusts each node's config after spec (ablations); may be nil
-	pop    *population
-	rec    *recorder
-	nodes  map[sim.NodeID]hosted
+	// gen draws the subscriptions Bootstrap and Join issue, perNode per
+	// node, and the events PublishTracked publishes.
+	gen     *workload.Generator
+	perNode int
+	rec     *recorder
+	// nodes holds every id ever added; ids are sequential from 1.
+	nodes map[sim.NodeID]*identity
 	// lastEvent is the id PublishTracked last allocated; ids are
 	// sequential from 1.
 	lastEvent core.EventID
-	// retiredDrops accumulates the inbox-drop counters of incarnations a
-	// restart replaced, so Stats covers the whole run, not just the
-	// incarnations in the table at collection time.
-	retiredDrops int64
 }
 
 // Every conformance engine is the chaos checker's read-only Target, the
@@ -91,14 +91,20 @@ type handle interface {
 	Dropped() int64
 }
 
-// hosted is one incarnation of a node and the handle that reaches it.
-type hosted struct {
-	node *core.Node
-	h    handle
+// identity is what the engine keeps under one node id, across its
+// incarnations.
+type identity struct {
+	node *core.Node // the current incarnation
+	h    handle     // reaches it
+	// subs are the durable subscriptions a restart re-issues.
+	subs []filter.Subscription
+	// drops sums the inbox drops of the incarnations restarts replaced,
+	// so Stats covers the whole run.
+	drops int64
 }
 
-// newEngine builds the named engine over fresh population bookkeeping:
-// Workload 2 at the options' seed, SubsPerNode subscriptions per node.
+// newEngine builds the named engine over a fresh population: Workload 2
+// at the options' seed, SubsPerNode subscriptions per node.
 func newEngine(name string, opts Options) (*Engine, error) {
 	var rt runtime
 	switch name {
@@ -115,14 +121,15 @@ func newEngine(name string, opts Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("conform: unknown engine %q", name)
 	}
-	pop := newPopulation(workload.MustGenerator(workload.Workload2(), opts.Seed), opts.SubsPerNode)
-	return engineOn(name, rt, opts.Config, pop, newRecorder()), nil
+	gen := workload.MustGenerator(workload.Workload2(), opts.Seed)
+	return engineOn(name, rt, opts.Config, gen, opts.SubsPerNode), nil
 }
 
 // engineOn wraps a runtime in the engine; its nodes run the spec's
 // protocol variant.
-func engineOn(name string, rt runtime, spec ConfigSpec, pop *population, rec *recorder) *Engine {
-	return &Engine{runtime: rt, name: name, spec: spec, pop: pop, rec: rec, nodes: make(map[sim.NodeID]hosted)}
+func engineOn(name string, rt runtime, spec ConfigSpec, gen *workload.Generator, perNode int) *Engine {
+	return &Engine{runtime: rt, name: name, spec: spec, gen: gen, perNode: perNode,
+		rec: newRecorder(), nodes: make(map[sim.NodeID]*identity)}
 }
 
 // NewSimEngine builds an engine over the cycle simulator for the paper
@@ -132,7 +139,7 @@ func engineOn(name string, rt runtime, spec ConfigSpec, pop *population, rec *re
 // (nil for none). Bootstrap and Join draw perNode subscriptions per node
 // from gen, and PublishTracked draws its events from it.
 func NewSimEngine(spec ConfigSpec, seed int64, workers int, gen *workload.Generator, perNode int, mutate func(*core.Config)) *Engine {
-	e := engineOn(EngineSim, newSimRuntime(seed, workers), spec, newPopulation(gen, perNode), newRecorder())
+	e := engineOn(EngineSim, newSimRuntime(seed, workers), spec, gen, perNode)
 	e.mutate = mutate
 	return e
 }
@@ -148,11 +155,12 @@ func (e *Engine) AwaitStep(step int64) {
 // Run lets steps logical steps pass (see AwaitStep).
 func (e *Engine) Run(steps int64) { e.AwaitStep(e.Now() + steps) }
 
-// newNode builds a protocol node of the engine's variant over dir,
-// filtered by the runtime's liveness view and wired to the recorder's
-// delivery hook. Every engine's nodes run the same configuration, so
-// cross-engine differences isolate the runtime, not the protocol.
-func (e *Engine) newNode(dir core.Directory) *core.Node {
+// newNode builds a protocol node of the engine's variant for id over
+// dir, filtered by the runtime's liveness view, its contacted and
+// delivery hooks writing the id's log. Every engine's nodes run the
+// same configuration, so cross-engine differences isolate the runtime,
+// not the protocol.
+func (e *Engine) newNode(id sim.NodeID, dir core.Directory) *core.Node {
 	cfg := core.DefaultConfig()
 	cfg.Directory = core.LiveDirectory{Directory: dir, Alive: e.Alive}
 	e.spec.Apply(&cfg)
@@ -163,28 +171,27 @@ func (e *Engine) newNode(dir core.Directory) *core.Node {
 	if err != nil {
 		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config
 	}
-	node.OnDeliverHook(func(ev core.EventID, _ filter.Event) {
-		e.rec.deliver(ev, node.ID(), e.Now())
-	})
+	log := e.rec.log(id)
+	node.OnEventHook(func(ev core.EventID, _ filter.Event) { log.contact(ev) })
+	node.OnDeliverHook(func(ev core.EventID, _ filter.Event) { log.deliver(ev, e.Now()) })
 	return node
 }
 
-// attach hosts a fresh node under id and enters it in the table,
-// retiring the drop counter of the incarnation it replaces.
+// attach hosts a fresh incarnation under id, retiring the drop counter
+// of the one it replaces.
 func (e *Engine) attach(id sim.NodeID) {
-	var n hosted
+	n := e.nodes[id]
+	if n.h != nil {
+		n.drops += n.h.Dropped()
+	}
 	h, err := e.host(id, func(dir core.Directory) *core.Node {
-		n.node = e.newNode(dir)
+		n.node = e.newNode(id, dir)
 		return n.node
 	})
 	if err != nil {
 		panic(fmt.Sprintf("conform: %s host %d: %v", e.name, id, err))
 	}
 	n.h = h
-	if old, ok := e.nodes[id]; ok {
-		e.retiredDrops += old.h.Dropped()
-	}
-	e.nodes[id] = n
 }
 
 // Do runs fn against the node under id on the node's own goroutine and
@@ -202,7 +209,8 @@ func (e *Engine) Do(id sim.NodeID, fn func(*core.Node)) error {
 // assignments on every runtime — the property the cross-engine fault
 // determinism rests on.
 func (e *Engine) AddNode() sim.NodeID {
-	id := e.pop.allocID()
+	id := sim.NodeID(len(e.nodes) + 1)
+	e.nodes[id] = &identity{}
 	e.attach(id)
 	return id
 }
@@ -220,7 +228,8 @@ func (e *Engine) Subscribe(id sim.NodeID, sub filter.Subscription) error {
 	if err := e.rec.subscribe(id, sub); err != nil {
 		return err
 	}
-	e.pop.remember(id, sub)
+	n := e.nodes[id]
+	n.subs = append(n.subs, sub)
 	return nil
 }
 
@@ -242,8 +251,8 @@ func (e *Engine) Bootstrap(nodes, batch int) error {
 	seen := make(map[string]bool, nodes)
 	for i := 0; i < nodes; i++ {
 		id := e.AddNode()
-		for s := 0; s < e.pop.perNode; s++ {
-			sub := e.pop.gen.Subscription()
+		for s := 0; s < e.perNode; s++ {
+			sub := e.gen.Subscription()
 			filters, err := filter.SubscriptionFilters(sub)
 			if err != nil {
 				return fmt.Errorf("conform: generator produced an unsatisfiable subscription: %w", err)
@@ -288,7 +297,7 @@ func (e *Engine) Bootstrap(nodes, batch int) error {
 func (e *Engine) PublishTracked(rng *rand.Rand) core.EventID {
 	e.lastEvent++
 	ev := e.lastEvent
-	event := e.pop.gen.Event()
+	event := e.gen.Event()
 	draw := rng.Int63()
 	alive := e.AliveIDs()
 	if len(alive) == 0 {
@@ -328,7 +337,7 @@ func (e *Engine) PublishMany(id sim.NodeID, evs []core.EventID, events []filter.
 // re-issuing its durable subscriptions (chaos.Population).
 func (e *Engine) Restart(id sim.NodeID) {
 	e.attach(id)
-	subs := e.pop.durable(id)
+	subs := e.nodes[id].subs
 	if err := e.Do(id, func(n *core.Node) {
 		for _, sub := range subs {
 			if err := n.Subscribe(sub); err != nil {
@@ -344,8 +353,8 @@ func (e *Engine) Restart(id sim.NodeID) {
 // subscription count (chaos.Population).
 func (e *Engine) Join() sim.NodeID {
 	id := e.AddNode()
-	for s := 0; s < e.pop.perNode; s++ {
-		if err := e.Subscribe(id, e.pop.gen.Subscription()); err != nil {
+	for s := 0; s < e.perNode; s++ {
+		if err := e.Subscribe(id, e.gen.Subscription()); err != nil {
 			panic(fmt.Sprintf("conform: join subscribe: %v", err))
 		}
 	}
@@ -355,10 +364,12 @@ func (e *Engine) Join() sim.NodeID {
 // Leave withdraws all of a node's subscriptions gracefully
 // (chaos.Population).
 func (e *Engine) Leave(id sim.NodeID) {
-	if _, ok := e.nodes[id]; !ok {
+	n, ok := e.nodes[id]
+	if !ok {
 		return
 	}
-	subs := e.pop.forget(id)
+	subs := n.subs
+	n.subs = nil
 	if err := e.Do(id, func(n *core.Node) {
 		for _, sub := range subs {
 			if err := n.Unsubscribe(sub); err != nil {
@@ -404,9 +415,9 @@ func (e *Engine) Corrupt(id sim.NodeID, op core.CorruptionOp) bool {
 // Stats reports the engine's drop counters for the run record, over
 // every incarnation of every node.
 func (e *Engine) Stats() EngineStats {
-	inbox := e.retiredDrops
+	var inbox int64
 	for _, n := range e.nodes {
-		inbox += n.h.Dropped()
+		inbox += n.drops + n.h.Dropped()
 	}
 	loss, partition := e.DroppedFaults()
 	return EngineStats{InboxDropped: inbox, FaultLoss: loss, FaultPartition: partition}
@@ -432,6 +443,10 @@ func (e *Engine) Expected(ev core.EventID) []sim.NodeID { return sortedIDs(e.rec
 // Delivered returns the ascending ids of every node notified of an
 // event, expected or not.
 func (e *Engine) Delivered(ev core.EventID) []sim.NodeID { return sortedIDs(e.rec.deliveredFor(ev)) }
+
+// ContactedPairs counts the (event, node) pairs in which the node
+// handled the event: Table 1's contacted sets, summed over every event.
+func (e *Engine) ContactedPairs() int { return e.rec.contactedPairs() }
 
 // Repeats counts the notifications of an (event, node) pair already
 // notified: a node must deliver each event once.
@@ -464,14 +479,20 @@ func (e *Engine) cycle() *simRuntime { return e.runtime.(*simRuntime) }
 // Workers reports the cycle engine's resolved worker count.
 func (e *Engine) Workers() int { return e.cycle().Workers() }
 
-// Traffic is the per-node message counter by kind, fed by every send
-// and delivery.
-func (e *Engine) Traffic() *metrics.Registry { return e.cycle().traffic }
+// Traffic snapshots every node's cumulative message counts by kind, fed
+// by every send and delivery.
+func (e *Engine) Traffic() map[int64]metrics.Counts { return e.TrafficSince(nil) }
+
+// TrafficSince returns each node's counts accumulated since the prev
+// snapshot; nodes absent from it count from zero.
+func (e *Engine) TrafficSince(prev map[int64]metrics.Counts) map[int64]metrics.Counts {
+	out := make(map[int64]metrics.Counts, len(e.cycle().traffic))
+	for id, c := range e.cycle().traffic {
+		out[id] = c.Sub(prev[id])
+	}
+	return out
+}
 
 // TreeForwards returns the cumulative inter-group tree-hop count (see
 // core.TreeForwards).
 func (e *Engine) TreeForwards() int64 { return e.cycle().treeForwards }
-
-// Contacted returns how many nodes handled the event: Table 1's
-// contacted set.
-func (e *Engine) Contacted(ev core.EventID) int { return e.cycle().contactedCount(ev) }

@@ -2,8 +2,10 @@ package conform
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
+	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/sim"
 )
@@ -44,11 +46,11 @@ func TestRecorderRatioCountsExpectedPairs(t *testing.T) {
 	rec, low, high := testRecorder(t)
 	rec.publish(1, low, allAlive, 10)  // expects 1, 2, 3
 	rec.publish(2, high, allAlive, 20) // expects 4
-	rec.deliver(1, 1, 11)
-	rec.deliver(1, 2, 12)
-	rec.deliver(1, 99, 12) // not expected: ignored by the ratio
-	rec.deliver(2, 4, 21)
-	rec.deliver(2, 4, 22) // repeated: counts once
+	rec.log(1).deliver(1, 11)
+	rec.log(2).deliver(1, 12)
+	rec.log(99).deliver(1, 12) // not expected: ignored by the ratio
+	rec.log(4).deliver(2, 21)
+	rec.log(4).deliver(2, 22) // repeated: counts once
 	if got := rec.ratio(); got != 0.75 {
 		t.Errorf("Ratio = %v, want 0.75", got)
 	}
@@ -92,9 +94,9 @@ func TestRecorderWindowRatioByPublishStep(t *testing.T) {
 	rec, low, _ := testRecorder(t)
 	rec.publish(1, low, func(id sim.NodeID) bool { return id <= 2 }, 10)
 	rec.publish(2, low, func(id sim.NodeID) bool { return id <= 2 }, 100)
-	rec.deliver(1, 1, 20)
-	rec.deliver(1, 2, 150) // delivered after the second event's publish
-	rec.deliver(2, 1, 101)
+	rec.log(1).deliver(1, 20)
+	rec.log(2).deliver(1, 150) // delivered after the second event's publish
+	rec.log(1).deliver(2, 101)
 	if got := rec.windowRatio(0, 50); got != 1 {
 		t.Errorf("early window = %v, want 1", got)
 	}
@@ -115,11 +117,11 @@ func TestRecorderWindowRatioByPublishStep(t *testing.T) {
 func TestRecorderLatencyOncePerExpectedPair(t *testing.T) {
 	rec, low, _ := testRecorder(t)
 	rec.publish(1, low, allAlive, 100) // expects 1, 2, 3
-	rec.deliver(1, 1, 103)             // latency 3
-	rec.deliver(1, 2, 110)             // latency 10
-	rec.deliver(1, 2, 120)             // repeated delivery: no second sample
-	rec.deliver(1, 9, 105)             // unexpected recipient
-	rec.deliver(2, 1, 105)             // untracked event
+	rec.log(1).deliver(1, 103)         // latency 3
+	rec.log(2).deliver(1, 110)         // latency 10
+	rec.log(2).deliver(1, 120)         // repeated delivery: no second sample
+	rec.log(9).deliver(1, 105)         // unexpected recipient
+	rec.log(1).deliver(2, 105)         // untracked event
 	lats := rec.latencies()
 	if !reflect.DeepEqual(lats, []int64{3, 10}) {
 		t.Fatalf("latencies = %v, want [3 10]", lats)
@@ -142,16 +144,86 @@ func TestRecorderLatencyOncePerExpectedPair(t *testing.T) {
 // before its publish step has no latency.
 func TestRecorderDeliveryBeforePublish(t *testing.T) {
 	rec, low, _ := testRecorder(t)
-	rec.deliver(7, 1, 50)
+	rec.log(1).deliver(7, 50)
 	if got := len(rec.latencies()); got != 0 {
 		t.Errorf("latencies = %d, want 0", got)
 	}
 	rec.publish(7, low, func(id sim.NodeID) bool { return id == 1 }, 60)
-	rec.deliver(7, 1, 65)
+	rec.log(1).deliver(7, 65)
 	if got := rec.ratio(); got != 1 {
 		t.Errorf("ratio = %v, want 1", got)
 	}
 	if got := len(rec.latencies()); got != 0 {
 		t.Errorf("latencies = %d, want 0 (first delivery precedes the publish step)", got)
+	}
+}
+
+// TestRecorderConcurrentNodeLogs fires each node's hooks from a
+// goroutine of its own, as the live runtimes do, while the runner reads,
+// and pins what the merged logs answer. Every event expects nodes 1–8
+// and node id skips the events with ev%8 == id-1, so each event misses
+// exactly one node; each node delivers its first event twice and is
+// contacted with event 1 twice (a restarted incarnation's first
+// receipts), which count once.
+func TestRecorderConcurrentNodeLogs(t *testing.T) {
+	const nodes, events = 8, 1000
+	rec := newRecorder()
+	sub, err := filter.ParseSubscription("x>0 && x<10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := sim.NodeID(1); id <= nodes; id++ {
+		if err := rec.subscribe(id, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	low, err := filter.ParseEvent("x=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ev := core.EventID(1); ev <= events; ev++ {
+		rec.publish(ev, low, allAlive, int64(ev))
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for id := sim.NodeID(1); id <= nodes; id++ {
+		log := rec.log(id)
+		wg.Add(1)
+		go func(id sim.NodeID) {
+			defer wg.Done()
+			<-start
+			first := true
+			for ev := core.EventID(1); ev <= events; ev++ {
+				log.contact(ev)
+				if int(ev)%nodes == int(id)-1 {
+					continue
+				}
+				log.deliver(ev, int64(ev)+1)
+				if first {
+					log.deliver(ev, int64(ev)+2)
+					first = false
+				}
+			}
+			log.contact(1)
+		}(id)
+	}
+	// Merge the logs while the nodes still append to them.
+	close(start)
+	const total = nodes*events - events + nodes // deliveries, repeats included
+	for rec.deliveries() < total {
+		rec.ratio()
+	}
+	wg.Wait()
+	if got := rec.ratio(); got != float64(nodes*events-events)/float64(nodes*events) {
+		t.Errorf("ratio = %v, want 7/8", got)
+	}
+	if got := rec.repeats(); got != nodes {
+		t.Errorf("repeats = %d, want %d", got, nodes)
+	}
+	if got := rec.contactedPairs(); got != nodes*events {
+		t.Errorf("contacted pairs = %d, want %d", got, nodes*events)
+	}
+	if got := len(rec.latencies()); got != nodes*events-events {
+		t.Errorf("latency samples = %d, want one per delivered pair", got)
 	}
 }

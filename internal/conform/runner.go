@@ -186,8 +186,7 @@ func (r *Result) FailingCells() []string {
 		for _, run := range sc.Runs {
 			switch {
 			case !run.FinalClean:
-				cells = append(cells, fmt.Sprintf("%s/%s: final sweep dirty (%d violations)",
-					sc.Scenario, run.Engine, run.FinalCheck.Total))
+				cells = append(cells, fmt.Sprintf("%s/%s: %s", sc.Scenario, run.Engine, run.dirty()))
 			case !run.WithinBound:
 				cells = append(cells, fmt.Sprintf("%s/%s: repair bound %d exceeded (ttr max %d, %d unrepaired)",
 					sc.Scenario, run.Engine, run.MaxTTR, run.TTR.Max, len(run.Unrepaired)))
@@ -198,6 +197,16 @@ func (r *Result) FailingCells() []string {
 		}
 	}
 	return cells
+}
+
+// dirty says why a run is not FinalClean: its last sweep found
+// violations, or the deadline came after a clean sweep that did not
+// follow another one.
+func (run *EngineRun) dirty() string {
+	if run.FinalCheck.Total == 0 {
+		return "not stably clean by the deadline (last sweep clean, but never two clean sweeps in a row)"
+	}
+	return fmt.Sprintf("final sweep dirty (%d violations)", run.FinalCheck.Total)
 }
 
 // Run executes the conformance matrix: every selected scenario on every
@@ -364,7 +373,6 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 // diffRuns compares one engine's delivered sets against the reference.
 func diffRuns(ref, run *EngineRun, margin float64) DiffResult {
 	refSets := ref.rec.deliveredSets()
-	refExpected := ref.rec.expectedCounts()
 	engSets := run.rec.deliveredSets()
 	d := DiffResult{
 		Engine:          run.Engine,
@@ -374,7 +382,7 @@ func diffRuns(ref, run *EngineRun, margin float64) DiffResult {
 	}
 	for ev, rset := range refSets {
 		eset := engSets[ev]
-		if len(rset) == refExpected[ev] {
+		if len(rset) == len(ref.rec.expected[ev]) {
 			// Settled: the reference delivered every expected recipient, so
 			// no loss draw shaped this event — the engine must match it.
 			d.SettledEvents++
@@ -450,8 +458,7 @@ func (r *Result) Render() string {
 			if run.FinalClean {
 				continue
 			}
-			fmt.Fprintf(&b, "\n%s on %s: final sweep dirty (%d violations)\n",
-				sc.Scenario, run.Engine, run.FinalCheck.Total)
+			fmt.Fprintf(&b, "\n%s on %s: %s\n", sc.Scenario, run.Engine, run.dirty())
 			invs := make([]string, 0, len(run.FinalCheck.ByInvariant))
 			for inv := range run.FinalCheck.ByInvariant {
 				invs = append(invs, inv)

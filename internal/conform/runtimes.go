@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/livenet"
 	"github.com/dps-overlay/dps/internal/metrics"
 	"github.com/dps-overlay/dps/internal/sim"
@@ -18,42 +17,37 @@ import (
 // simulation (the live runtimes merely wait on their clocks), so a run
 // on it is a pure function of its inputs.
 //
-// It also carries what the paper figures read: the per-node traffic
-// counters and the inter-group tree-hop sum, fed from the engine's send
-// and delivery hooks (which fire on the stepping goroutine), and each
-// event's contacted set, fed from a hook on every node it hosts (which
-// fires on engine workers under the parallel executor, hence the lock).
-// Every figure is a sum or a set, so it stays seed-deterministic at any
-// worker count.
+// It also carries what the paper figures read of the traffic: the
+// per-node message counts by kind and the inter-group tree-hop sum, fed
+// from the engine's send and delivery hooks, which fire on the stepping
+// goroutine under the parallel executor too. Both are sums, so they stay
+// seed-deterministic at any worker count.
 type simRuntime struct {
 	*sim.Engine
 
 	dir                       *core.SharedDirectory
 	lossDrops, partitionDrops int64
 
-	traffic      *metrics.Registry
+	traffic      map[int64]*metrics.Counts
 	treeForwards int64
-	mu           sync.Mutex // guards contacted
-	contacted    map[core.EventID]map[sim.NodeID]bool
 }
 
 func newSimRuntime(seed int64, workers int) *simRuntime {
 	r := &simRuntime{
-		dir:       core.NewSharedDirectory(),
-		traffic:   metrics.NewRegistry(),
-		contacted: make(map[core.EventID]map[sim.NodeID]bool),
+		dir:     core.NewSharedDirectory(),
+		traffic: make(map[int64]*metrics.Counts),
 	}
 	r.Engine = sim.NewEngine(sim.Config{
 		Seed:    seed,
 		Workers: workers,
 		OnSend: func(from, to sim.NodeID, msg any) {
-			r.traffic.Sent(int64(from), metrics.KindOf(msg))
+			r.counts(from).Out[metrics.KindOf(msg)]++
 			if hops := core.TreeForwards(msg); hops > 0 {
 				r.treeForwards += hops
 			}
 		},
 		OnDeliver: func(from, to sim.NodeID, msg any) {
-			r.traffic.Received(int64(to), metrics.KindOf(msg))
+			r.counts(to).In[metrics.KindOf(msg)]++
 		},
 		OnDrop: func(from, to sim.NodeID, msg any, reason sim.DropReason) {
 			switch reason {
@@ -71,30 +65,23 @@ func newSimRuntime(seed int64, workers int) *simRuntime {
 	return r
 }
 
-// host adds the node, or revives the id's slot if it had one before,
-// and records every event the node handles in the event's contacted set.
+// counts returns a node's traffic counters, opening them on first use.
+func (r *simRuntime) counts(id sim.NodeID) *metrics.Counts {
+	c := r.traffic[int64(id)]
+	if c == nil {
+		c = &metrics.Counts{}
+		r.traffic[int64(id)] = c
+	}
+	return c
+}
+
+// host adds the node, or revives the id's slot if it had one before.
 func (r *simRuntime) host(id sim.NodeID, build func(core.Directory) *core.Node) (handle, error) {
 	node := build(r.dir)
-	node.OnEventHook(func(ev core.EventID, _ filter.Event) {
-		r.mu.Lock()
-		set := r.contacted[ev]
-		if set == nil {
-			set = make(map[sim.NodeID]bool)
-			r.contacted[ev] = set
-		}
-		set[id] = true
-		r.mu.Unlock()
-	})
 	if r.Process(id) != nil {
 		return direct{}, r.Engine.Restart(id, node)
 	}
 	return direct{}, r.Add(id, node)
-}
-
-func (r *simRuntime) contactedCount(ev core.EventID) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.contacted[ev])
 }
 
 func (r *simRuntime) advance()                                 { r.Step() }

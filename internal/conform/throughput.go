@@ -163,7 +163,7 @@ func runThroughputOn(name string, opts ThroughputOptions) (*ThroughputRun, error
 		return nil, err
 	}
 	defer e.Close()
-	gen, rec := e.pop.gen, e.rec
+	gen, rec := e.gen, e.rec
 
 	// Bootstrap: the same population a conformance run deploys, so the
 	// overlay under load is the overlay under test elsewhere.
@@ -229,12 +229,12 @@ func runThroughputOn(name string, opts ThroughputOptions) (*ThroughputRun, error
 	}
 
 	// Drain until deliveries stop arriving: a run is over when the
-	// delivered-pair count holds still for a full quiet window.
+	// delivery count holds still for a full quiet window.
 	const quietSteps = 30
 	stale, seen := 0, -1
 	for stale < quietSteps {
 		e.Run(1)
-		if n := rec.deliveredCount(); n != seen {
+		if n := rec.deliveries(); n != seen {
 			seen, stale = n, 0
 		} else {
 			stale++
@@ -246,14 +246,15 @@ func runThroughputOn(name string, opts ThroughputOptions) (*ThroughputRun, error
 		rec.publish(core.EventID(i+1), event, e.Alive, e.Now())
 	}
 
-	pairs, sorted, arrivals, last := rec.latencySummary()
+	sorted, arrivals, last := rec.latencySummary()
+	pairs := len(sorted)
 	run := &ThroughputRun{
 		Engine:         name,
 		Events:         opts.Events,
 		DeliveredPairs: pairs,
 	}
-	for _, n := range rec.expectedCounts() {
-		run.ExpectedPairs += n
+	for _, exp := range rec.expected {
+		run.ExpectedPairs += len(exp)
 	}
 	if pairs > 0 {
 		run.EventsPerSec = steadyRate(arrivals, start)

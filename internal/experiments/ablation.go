@@ -176,7 +176,7 @@ func avgEventMsgs(e *conform.Engine) float64 {
 	traffic := e.Traffic()
 	var total int64
 	for _, id := range ids {
-		total += traffic.Of(int64(id)).OutOf(metrics.KindEvent)
+		total += traffic[int64(id)].OutOf(metrics.KindEvent)
 	}
 	return float64(total) / float64(len(ids))
 }

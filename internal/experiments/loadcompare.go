@@ -103,8 +103,7 @@ func RunLoadComparison(title string, opts LoadOptions) (*LoadResult, error) {
 		e.Run(5)
 		rng := rand.New(rand.NewSource(opts.Seed ^ 0xef9))
 		series := LoadSeries{Config: spec.Name}
-		traffic := e.Traffic()
-		snap := traffic.Snapshot()
+		snap := e.Traffic()
 		for step := 1; step <= opts.Steps; step++ {
 			// Staggered subscriptions: node i subscribes when step ≡ i
 			// (mod SubEvery), i.e. each node once per SubEvery steps.
@@ -120,7 +119,7 @@ func RunLoadComparison(title string, opts LoadOptions) (*LoadResult, error) {
 			}
 			e.Run(1)
 			if step%opts.Window == 0 {
-				deltas := traffic.DeltaSince(snap)
+				deltas := e.TrafficSince(snap)
 				alive := e.AliveIDs()
 				ins := metrics.Collect(alive, deltas, metrics.Counts.InTotal)
 				outs := metrics.Collect(alive, deltas, metrics.Counts.OutTotal)
@@ -129,7 +128,7 @@ func RunLoadComparison(title string, opts LoadOptions) (*LoadResult, error) {
 				series.MedianIn = append(series.MedianIn, metrics.Median(ins))
 				series.MaxOut = append(series.MaxOut, float64(metrics.Max(outs)))
 				series.MedianOut = append(series.MedianOut, metrics.Median(outs))
-				snap = traffic.Snapshot()
+				snap = e.Traffic()
 			}
 		}
 		res.Series = append(res.Series, series)

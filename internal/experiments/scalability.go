@@ -79,8 +79,7 @@ func RunFig3cd(opts Fig3cdOptions) (*Fig3cdResult, error) {
 		}
 		rng := rand.New(rand.NewSource(opts.Seed ^ 0xc0de))
 		series := Fig3cdSeries{Config: spec.Name}
-		traffic := e.Traffic()
-		snap := traffic.Snapshot()
+		snap := e.Traffic()
 		eventsInWindow := 0
 		for step := 1; step <= opts.Steps; step++ {
 			if step%opts.EventEvery == 0 {
@@ -92,7 +91,7 @@ func RunFig3cd(opts Fig3cdOptions) (*Fig3cdResult, error) {
 			}
 			e.Run(1)
 			if step%opts.Window == 0 {
-				deltas := traffic.DeltaSince(snap)
+				deltas := e.TrafficSince(snap)
 				ids := e.AliveIDs()
 				outs := metrics.Collect(ids, deltas, func(x metrics.Counts) int64 {
 					return x.OutOf(metrics.KindEvent)
@@ -105,7 +104,7 @@ func RunFig3cd(opts Fig3cdOptions) (*Fig3cdResult, error) {
 				series.MedianPerEvent = append(series.MedianPerEvent, metrics.Median(outs)/div)
 				series.MaxPerEvent = append(series.MaxPerEvent, float64(metrics.Max(outs))/div)
 				series.Population = append(series.Population, len(ids))
-				snap = traffic.Snapshot()
+				snap = e.Traffic()
 				eventsInWindow = 0
 			}
 		}

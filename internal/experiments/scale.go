@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/dps-overlay/dps/internal/conform"
-	"github.com/dps-overlay/dps/internal/core"
 	"github.com/dps-overlay/dps/internal/workload"
 )
 
@@ -140,11 +139,7 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	}
 
 	res.DeliveryRatio = e.Ratio()
-	var contacted int64
-	for ev := core.EventID(1); ev <= core.EventID(opts.Events); ev++ {
-		contacted += int64(e.Contacted(ev))
-	}
-	res.ContactedPct = float64(contacted) / (float64(opts.Events) * float64(opts.Nodes)) * 100
+	res.ContactedPct = float64(e.ContactedPairs()) / (float64(opts.Events) * float64(opts.Nodes)) * 100
 	return res, nil
 }
 

@@ -1,15 +1,13 @@
-// Package metrics provides the measurement substrate for the DPS
-// evaluation: per-node traffic counters split by message kind, snapshot
-// deltas for the 100-step sampling windows of the paper's Figures 3(c)–(g),
-// and the median/max/percentile aggregations the plots report. Delivery
-// accounting lives with the engine that runs the figures (the conform
-// package's recorder).
+// Package metrics provides the measurement vocabulary of the DPS
+// evaluation: one node's traffic counts split by message kind, their
+// window deltas for the 100-step sampling windows of the paper's
+// Figures 3(c)–(g), and the median/max/percentile aggregations the plots
+// report. The engine that runs the figures keeps the counts, one per
+// node, and its delivery accounting (the conform package's sim runtime
+// and recorder).
 package metrics
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Kind coarsely classifies protocol messages the way the paper's plots do:
 // event diffusion, overlay control (subscriptions, views, merges), and
@@ -64,75 +62,6 @@ func (c Counts) Sub(o Counts) Counts {
 		d.Out[i] = c.Out[i] - o.Out[i]
 	}
 	return d
-}
-
-// Registry accumulates traffic counters per node. It is safe for
-// concurrent use. The cycle engine fires its send and delivery hooks on
-// the goroutine that steps it, under the parallel executor too, so there
-// the lock is uncontended.
-type Registry struct {
-	mu     sync.Mutex
-	counts map[int64]*Counts
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{counts: make(map[int64]*Counts)}
-}
-
-func (r *Registry) node(id int64) *Counts {
-	c, ok := r.counts[id]
-	if !ok {
-		c = &Counts{}
-		r.counts[id] = c
-	}
-	return c
-}
-
-// Sent records one outgoing message of kind k at node id.
-func (r *Registry) Sent(id int64, k Kind) {
-	r.mu.Lock()
-	r.node(id).Out[k]++
-	r.mu.Unlock()
-}
-
-// Received records one incoming message of kind k at node id.
-func (r *Registry) Received(id int64, k Kind) {
-	r.mu.Lock()
-	r.node(id).In[k]++
-	r.mu.Unlock()
-}
-
-// Of returns the cumulative counts of one node.
-func (r *Registry) Of(id int64) Counts {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counts[id]; ok {
-		return *c
-	}
-	return Counts{}
-}
-
-// Snapshot copies the cumulative counters of every node ever seen.
-func (r *Registry) Snapshot() map[int64]Counts {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[int64]Counts, len(r.counts))
-	for id, c := range r.counts {
-		out[id] = *c
-	}
-	return out
-}
-
-// DeltaSince returns per-node counters accumulated since the given
-// snapshot; nodes absent from the snapshot count from zero.
-func (r *Registry) DeltaSince(snap map[int64]Counts) map[int64]Counts {
-	cur := r.Snapshot()
-	out := make(map[int64]Counts, len(cur))
-	for id, c := range cur {
-		out[id] = c.Sub(snap[id])
-	}
-	return out
 }
 
 // Median returns the median of xs (average of the two central elements for

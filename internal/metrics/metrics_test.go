@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 type kindedMsg struct{ k Kind }
 
@@ -18,60 +15,6 @@ func TestKindOf(t *testing.T) {
 	}
 	if KindOf(kindedMsg{KindHeartbeat}) != KindHeartbeat {
 		t.Error("heartbeat misclassified")
-	}
-}
-
-func TestRegistryCounts(t *testing.T) {
-	r := NewRegistry()
-	r.Sent(1, KindEvent)
-	r.Sent(1, KindEvent)
-	r.Sent(1, KindControl)
-	r.Received(1, KindHeartbeat)
-	c := r.Of(1)
-	if c.OutOf(KindEvent) != 2 || c.OutOf(KindControl) != 1 || c.OutTotal() != 3 {
-		t.Errorf("out counts wrong: %+v", c)
-	}
-	if c.InOf(KindHeartbeat) != 1 || c.InTotal() != 1 {
-		t.Errorf("in counts wrong: %+v", c)
-	}
-	if got := r.Of(99); got.InTotal() != 0 || got.OutTotal() != 0 {
-		t.Error("unknown node should be zero")
-	}
-}
-
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	r.Sent(1, KindEvent)
-	snap := r.Snapshot()
-	r.Sent(1, KindEvent)
-	r.Sent(2, KindControl)
-	d := r.DeltaSince(snap)
-	if d[1].OutOf(KindEvent) != 1 {
-		t.Errorf("delta for node 1 = %+v, want 1 event out", d[1])
-	}
-	if d[2].OutOf(KindControl) != 1 {
-		t.Errorf("delta for node 2 = %+v", d[2])
-	}
-}
-
-func TestRegistryConcurrency(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(id int64) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Sent(id, KindEvent)
-				r.Received(id, KindControl)
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	for id := int64(0); id < 8; id++ {
-		if c := r.Of(id); c.OutTotal() != 1000 || c.InTotal() != 1000 {
-			t.Errorf("node %d: %+v", id, c)
-		}
 	}
 }
 
@@ -103,9 +46,9 @@ func TestMedianMaxPercentile(t *testing.T) {
 }
 
 func TestCollectFillsZeros(t *testing.T) {
-	r := NewRegistry()
-	r.Sent(2, KindEvent)
-	deltas := r.DeltaSince(map[int64]Counts{})
+	var two Counts
+	two.Out[KindEvent] = 1
+	deltas := map[int64]Counts{2: two}
 	vals := Collect([]int64{1, 2, 3}, deltas, Counts.OutTotal)
 	if vals[0] != 0 || vals[1] != 1 || vals[2] != 0 {
 		t.Errorf("Collect = %v", vals)
