@@ -33,7 +33,10 @@ type Config struct {
 	// Defaults to 10ms.
 	TickEvery time.Duration
 	// InboxSize is each peer's buffered inbox; a full inbox drops
-	// messages. Defaults to 4096.
+	// messages. Defaults to 4096, eight times tcpnet's default: with no
+	// socket between peers a sender fills its target's inbox at memory
+	// speed, and the CONFORM_NIGHTLY throughput storm drives it to
+	// depths of 988-1160.
 	InboxSize int
 	// Seed derives the per-peer deterministic random streams.
 	Seed int64

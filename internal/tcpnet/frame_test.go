@@ -1,12 +1,17 @@
 package tcpnet
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
 
 	"github.com/dps-overlay/dps/internal/core"
+	"github.com/dps-overlay/dps/internal/sim"
 	"github.com/dps-overlay/dps/internal/wire"
 )
 
@@ -80,6 +85,72 @@ func TestDirFrameRejectsMalformedBodies(t *testing.T) {
 	}
 	if _, err := decodeDirResp([]byte{dirWireVersion, 0x02}); err == nil {
 		t.Error("truncated response decoded")
+	}
+}
+
+// TestFrameReaderMixedSizes pins that the small read buffer puts no
+// limit on frame size: one write carries 200 protocol frames, a body of
+// three read buffers and one at wire.MaxFrame, and every frame comes out
+// of the reader in order and byte for byte.
+func TestFrameReaderMixedSizes(t *testing.T) {
+	samples := core.WireSamples()
+	var stream []byte
+	var want [][]byte
+	for i := 0; i < 200; i++ {
+		start := len(stream)
+		var err error
+		stream, err = appendTransportFrame(stream, sim.NodeID(i+1), "127.0.0.1:7001", samples[i%len(samples)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, stream[start+frameHeaderLen:])
+	}
+	for _, size := range []int{3 * frameReaderBuf, wire.MaxFrame} {
+		body := make([]byte, size)
+		for i := range body {
+			body[i] = byte(i*7 + size)
+		}
+		stream = binary.BigEndian.AppendUint32(stream, uint32(size))
+		stream = append(stream, body...)
+		want = append(want, body)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_, _ = conn.Write(stream)
+	}()
+	conn := rawDial(t, ln.Addr().String())
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	fr := newFrameReader(conn)
+	if br, ok := fr.src.(*bufio.Reader); !ok || br.Size() != frameReaderBuf {
+		t.Fatalf("frame reader is not buffered at frameReaderBuf (%d bytes)", frameReaderBuf)
+	}
+	for i, w := range want {
+		body, err := fr.next()
+		if err != nil {
+			t.Fatalf("frame %d of %d: %v", i, len(want), err)
+		}
+		if !bytes.Equal(body, w) {
+			t.Fatalf("frame %d (%d bytes) differs from the %d bytes sent", i, len(body), len(w))
+		}
+		if i < 200 {
+			from, _, _, err := decodeTransportBody(body)
+			if err != nil || from != sim.NodeID(i+1) {
+				t.Fatalf("frame %d decodes from=%d err=%v, want from=%d", i, from, err, i+1)
+			}
+		}
+	}
+	if _, err := fr.next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the last frame: %v, want EOF", err)
 	}
 }
 

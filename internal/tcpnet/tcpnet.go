@@ -38,7 +38,12 @@ type Config struct {
 	TickEvery time.Duration
 	// Seed drives the node's deterministic random stream.
 	Seed int64
-	// InboxSize bounds buffered inbound work; overflow drops (default 4096).
+	// InboxSize bounds buffered inbound work; overflow drops (default
+	// 512). The channel is allocated whole at New, so the default is
+	// sized to measured peaks: the deepest inbox seen was 188 items on
+	// perfbench's tcp-publish (seeds 1-5), 118 in the CONFORM_NIGHTLY
+	// throughput storm and 8 in dps-sim -scenario all -engine all
+	// -nodes 24, which leaves 2.7x headroom.
 	InboxSize int
 	// Faults, when set, is the deployment-shared fault topology (link
 	// cuts, partition classes, loss windows) this transport consults on
@@ -128,7 +133,7 @@ func New(cfg Config, proc sim.Process) (*Transport, error) {
 		cfg.TickEvery = 10 * time.Millisecond
 	}
 	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 4096
+		cfg.InboxSize = 512
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {

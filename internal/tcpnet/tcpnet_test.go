@@ -170,6 +170,73 @@ func TestSendToUnknownPeerDrops(t *testing.T) {
 	}
 }
 
+// TestInboxOverflowDrops pins the default inbox bound and what happens
+// past it. While the node's goroutine is held in a Do, frames up to the
+// bound wait in the inbox with nothing dropped; every frame past it is
+// dropped and counted; on release the node handles the ones that waited.
+func TestInboxOverflowDrops(t *testing.T) {
+	rec := &recordingProc{}
+	tr, err := New(Config{ID: 2, Listen: "127.0.0.1:0", TickEvery: time.Hour}, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	const bound, extra = 512, 16
+	if got := cap(tr.inbox); got != bound {
+		t.Fatalf("default inbox holds %d items, want %d", got, bound)
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unhold := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unhold() // Close waits for the node's goroutine
+	doErr := make(chan error, 1)
+	go func() { doErr <- tr.Do(func() { close(held); <-release }) }()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("node goroutine never ran the holding command")
+	}
+
+	conn := rawDial(t, tr.Addr())
+	payload := core.WireSamples()[0]
+	write := func(n int) {
+		t.Helper()
+		var buf []byte
+		for i := 0; i < n; i++ {
+			var err error
+			if buf, err = appendTransportFrame(buf, 1, "", payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(bound)
+	if !waitUntil(t, 5*time.Second, func() bool { return len(tr.inbox) == bound }) {
+		t.Fatalf("inbox holds %d of %d frames", len(tr.inbox), bound)
+	}
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("%d frames dropped below the bound", d)
+	}
+	write(extra)
+	if !waitUntil(t, 5*time.Second, func() bool { return tr.Dropped() == extra }) {
+		t.Fatalf("dropped %d frames past the bound, want %d", tr.Dropped(), extra)
+	}
+
+	unhold()
+	if err := <-doErr; err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(t, 5*time.Second, func() bool { return rec.count() == bound }) {
+		t.Fatalf("node handled %d queued frames, want %d", rec.count(), bound)
+	}
+	if d := tr.Dropped(); d != extra {
+		t.Fatalf("dropped %d, want %d", d, extra)
+	}
+}
+
 // heartbeatProbe returns an arbitrary payload for the drop test; the
 // send fails on the unknown peer before any encoding happens.
 func heartbeatProbe() any {
