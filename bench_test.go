@@ -34,13 +34,16 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
+// table1ProtocolOptions is BenchmarkTable1Protocol's run at one seed.
+func table1ProtocolOptions(seed int64) experiments.Table1Options {
+	return experiments.Table1Options{Seed: seed, Nodes: 250, Events: 150, UseProtocol: true}
+}
+
 // BenchmarkTable1Protocol regenerates Table 1 through the full
 // message-level protocol.
 func BenchmarkTable1Protocol(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable1(experiments.Table1Options{
-			Seed: int64(i + 1), Nodes: 250, Events: 150, UseProtocol: true,
-		}); err != nil {
+		if _, err := experiments.RunTable1(table1ProtocolOptions(int64(i + 1))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,10 +57,9 @@ func BenchmarkTable1Protocol(b *testing.B) {
 // carry enough work — see docs/ARCHITECTURE.md).
 func BenchmarkTable1ProtocolParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable1(experiments.Table1Options{
-			Seed: int64(i + 1), Nodes: 250, Events: 150, UseProtocol: true,
-			Parallelism: -1,
-		}); err != nil {
+		opts := table1ProtocolOptions(int64(i + 1))
+		opts.Parallelism = -1
+		if _, err := experiments.RunTable1(opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,23 +83,28 @@ func BenchmarkScale(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3a regenerates the dependability curve for two
-// representative configurations and two failure rates.
+// fig3aOptions is BenchmarkFig3a's run at one seed: two representative
+// configurations and two failure rates.
+func fig3aOptions(seed int64) experiments.Fig3aOptions {
+	return experiments.Fig3aOptions{
+		Seed:         seed,
+		Nodes:        200,
+		Steps:        800,
+		SubsPerNode:  2,
+		EventEvery:   10,
+		FailureProbs: []float64{0.02, 0.10},
+		Configs: []conform.ConfigSpec{
+			{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased},
+			{Name: "epidemic root k = 2", Traversal: core.RootBased, Comm: core.Epidemic, Fanout: 2, CrossFanout: 2},
+		},
+		SettleTail: 80,
+	}
+}
+
+// BenchmarkFig3a regenerates the dependability curve of fig3aOptions.
 func BenchmarkFig3a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig3a(experiments.Fig3aOptions{
-			Seed:         int64(i + 1),
-			Nodes:        200,
-			Steps:        800,
-			SubsPerNode:  2,
-			EventEvery:   10,
-			FailureProbs: []float64{0.02, 0.10},
-			Configs: []conform.ConfigSpec{
-				{Name: "leader root", Traversal: core.RootBased, Comm: core.LeaderBased},
-				{Name: "epidemic root k = 2", Traversal: core.RootBased, Comm: core.Epidemic, Fanout: 2, CrossFanout: 2},
-			},
-			SettleTail: 80,
-		})
+		res, err := experiments.RunFig3a(fig3aOptions(int64(i + 1)))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -221,6 +221,12 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if _, err := Run(Options{Nodes: 2}); err == nil {
 		t.Error("tiny population accepted")
 	}
+	if _, err := RunThroughput(ThroughputOptions{Engines: []string{"quantum"}}); err == nil {
+		t.Error("throughput: unknown engine accepted")
+	}
+	if _, err := RunThroughput(ThroughputOptions{Nodes: 2}); err == nil {
+		t.Error("throughput: tiny population accepted")
+	}
 }
 
 // fakeRun builds an EngineRun with a recorder holding scripted expected

@@ -209,6 +209,19 @@ func (run *EngineRun) dirty() string {
 	return fmt.Sprintf("final sweep dirty (%d violations)", run.FinalCheck.Total)
 }
 
+// checkEngines rejects any name that is not one of EngineNames.
+func checkEngines(names []string) error {
+	for _, name := range names {
+		switch name {
+		case EngineSim, EngineLive, EngineTCP:
+		default:
+			return fmt.Errorf("conform: unknown engine %q (have %s)",
+				name, strings.Join(EngineNames(), ", "))
+		}
+	}
+	return nil
+}
+
 // Run executes the conformance matrix: every selected scenario on every
 // selected engine, with the cycle engine as the differential reference.
 func Run(opts Options) (*Result, error) {
@@ -217,13 +230,8 @@ func Run(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("conform: need at least 4 nodes, have %d", opts.Nodes)
 	}
 	engines := opts.Engines
-	for _, name := range engines {
-		switch name {
-		case EngineSim, EngineLive, EngineTCP:
-		default:
-			return nil, fmt.Errorf("conform: unknown engine %q (have %s)",
-				name, strings.Join(EngineNames(), ", "))
-		}
+	if err := checkEngines(engines); err != nil {
+		return nil, err
 	}
 	names := opts.Scenarios
 	if len(names) == 0 && len(opts.Custom) == 0 {

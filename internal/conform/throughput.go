@@ -132,14 +132,11 @@ func RunThroughput(opts ThroughputOptions) (*ThroughputResult, error) {
 	if opts.Nodes < 4 {
 		return nil, fmt.Errorf("conform: throughput needs at least 4 nodes, have %d", opts.Nodes)
 	}
+	if err := checkEngines(opts.Engines); err != nil {
+		return nil, err
+	}
 	res := &ThroughputResult{Opts: opts}
 	for _, name := range opts.Engines {
-		switch name {
-		case EngineSim, EngineLive, EngineTCP:
-		default:
-			return nil, fmt.Errorf("conform: unknown engine %q (have %s)",
-				name, strings.Join(EngineNames(), ", "))
-		}
 		run, err := runThroughputOn(name, opts)
 		if err != nil {
 			return nil, err

@@ -46,25 +46,7 @@ func TestThroughputSmoke(t *testing.T) {
 	if _, err := json.Marshal(res); err != nil {
 		t.Errorf("result does not marshal: %v", err)
 	}
-	if err := RunThroughputErrCheck(); err != nil {
-		t.Error(err)
-	}
 }
-
-// RunThroughputErrCheck exercises the option-validation paths.
-func RunThroughputErrCheck() error {
-	if _, err := RunThroughput(ThroughputOptions{Engines: []string{"quantum"}}); err == nil {
-		return errInvalid("unknown engine accepted")
-	}
-	if _, err := RunThroughput(ThroughputOptions{Nodes: 2}); err == nil {
-		return errInvalid("tiny population accepted")
-	}
-	return nil
-}
-
-type errInvalid string
-
-func (e errInvalid) Error() string { return string(e) }
 
 // TestThroughputNightly is the wall-clock half of the throughput
 // experiment: all three engines under a sustained publish storm. Every

@@ -10,11 +10,14 @@ import (
 
 // Micro-benchmarks of the event hot path, for tracking the steady-state
 // allocation behaviour of routing (`go test -bench=. -benchmem ./internal/core`).
+// RouteEvent, ViewExchange and SettledTick also pin their allocs/op in
+// plain `go test` (TestRouteEventAllocs, TestViewExchangeAllocs,
+// TestSettledTickAllocs).
 
 // buildBenchOverlay assembles a settled overlay: n nodes, a spread of
 // integer-range and string subscriptions over a few attributes.
-func buildBenchOverlay(b *testing.B, n int) (*sim.Engine, []*Node) {
-	b.Helper()
+func buildBenchOverlay(tb testing.TB, n int) (*sim.Engine, []*Node) {
+	tb.Helper()
 	dir := NewSharedDirectory()
 	eng := sim.NewEngine(sim.Config{Seed: 42})
 	nodes := make([]*Node, n)
@@ -23,10 +26,10 @@ func buildBenchOverlay(b *testing.B, n int) (*sim.Engine, []*Node) {
 		cfg.Directory = dir
 		node, err := NewNode(cfg)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := eng.Add(sim.NodeID(i+1), node); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		nodes[i] = node
 	}
@@ -37,32 +40,58 @@ func buildBenchOverlay(b *testing.B, n int) (*sim.Engine, []*Node) {
 	for i, node := range nodes {
 		sub, err := filter.ParseSubscription(subs[i%len(subs)])
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := node.Subscribe(sub); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	eng.Run(200)
 	return eng, nodes
 }
 
-// BenchmarkRouteEvent measures one event's full protocol dispatch — tree
-// descent, group diffusion, local matching — through a settled 64-node
-// overlay.
-func BenchmarkRouteEvent(b *testing.B) {
-	eng, nodes := buildBenchOverlay(b, 64)
+// routeEventOp builds a settled 64-node overlay and returns one event's
+// full protocol dispatch through it — tree descent, group diffusion,
+// local matching — as the i-th op.
+func routeEventOp(tb testing.TB) func(i int) error {
+	eng, nodes := buildBenchOverlay(tb, 64)
 	ev, err := filter.ParseEvent("a=12, b=xy, c=50")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return func(i int) error {
+		if err := nodes[i%len(nodes)].Publish(EventID(i+1), ev); err != nil {
+			return err
+		}
+		eng.Run(2) // drain the event through the overlay
+		return nil
+	}
+}
+
+// BenchmarkRouteEvent measures routeEventOp.
+func BenchmarkRouteEvent(b *testing.B) {
+	op := routeEventOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := nodes[i%len(nodes)].Publish(EventID(i+1), ev); err != nil {
+		if err := op(i); err != nil {
 			b.Fatal(err)
 		}
-		eng.Run(2) // drain the event through the overlay
+	}
+}
+
+// TestRouteEventAllocs pins BenchmarkRouteEvent's allocs/op.
+func TestRouteEventAllocs(t *testing.T) {
+	op := routeEventOp(t)
+	i := 0
+	got := testing.AllocsPerRun(2000, func() {
+		if err := op(i); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if got != 47 {
+		t.Errorf("RouteEvent allocs/op = %v, pinned at 47", got)
 	}
 }
 
@@ -112,37 +141,37 @@ func BenchmarkNotifyLocal(b *testing.B) {
 // settledGroup builds 32 nodes that all subscribe "a>2" and runs the
 // engine until the group has settled, returning the engine, the nodes and
 // the group's key.
-func settledGroup(b *testing.B) (*sim.Engine, []*Node, string) {
-	b.Helper()
+func settledGroup(tb testing.TB) (*sim.Engine, []*Node, string) {
+	tb.Helper()
 	dir := NewSharedDirectory()
 	eng := sim.NewEngine(sim.Config{Seed: 42})
 	sub, err := filter.ParseSubscription("a>2")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	nodes := make([]*Node, 32)
 	for i := range nodes {
 		cfg := DefaultConfig()
 		cfg.Directory = dir
 		if nodes[i], err = NewNode(cfg); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := eng.Add(sim.NodeID(i+1), nodes[i]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := nodes[i].Subscribe(sub); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	eng.Run(200)
 	return eng, nodes, nodes[0].Memberships()[0]
 }
 
-// BenchmarkViewExchange measures the settled leader-mode upkeep step: a
+// viewExchangeOp returns the settled leader-mode upkeep step as an op: a
 // member handles its leader's unchanged 32-member groupview, which the
 // member reconciles against its own in place.
-func BenchmarkViewExchange(b *testing.B) {
-	_, nodes, key := settledGroup(b)
+func viewExchangeOp(tb testing.TB) func() {
+	_, nodes, key := settledGroup(tb)
 	var leader, member *Node
 	for _, node := range nodes {
 		if node.group(key).leader == node.ID() {
@@ -152,11 +181,11 @@ func BenchmarkViewExchange(b *testing.B) {
 		}
 	}
 	if leader == nil || member == nil {
-		b.Fatal("no settled leader and member")
+		tb.Fatal("no settled leader and member")
 	}
 	info := leader.Inspect()[key]
 	if len(info.Members) != len(nodes) {
-		b.Fatalf("leader's groupview holds %d of %d members", len(info.Members), len(nodes))
+		tb.Fatalf("leader's groupview holds %d of %d members", len(info.Members), len(nodes))
 	}
 	var msg any = viewExchange{ // boxed once, as an engine delivers it
 		AF:      leader.group(key).af,
@@ -167,10 +196,23 @@ func BenchmarkViewExchange(b *testing.B) {
 		Reply:   true,
 	}
 	member.OnMessage(leader.ID(), msg)
+	return func() { member.OnMessage(leader.ID(), msg) }
+}
+
+// BenchmarkViewExchange measures viewExchangeOp.
+func BenchmarkViewExchange(b *testing.B) {
+	op := viewExchangeOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		member.OnMessage(leader.ID(), msg)
+		op()
+	}
+}
+
+// TestViewExchangeAllocs pins the settled view exchange allocation-free.
+func TestViewExchangeAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(2000, viewExchangeOp(t)); got != 0 {
+		t.Errorf("ViewExchange allocs/op = %v, pinned at 0", got)
 	}
 }
 
@@ -189,5 +231,15 @@ func BenchmarkSettledTick(b *testing.B) {
 	b.StopTimer()
 	if eng.AliveCount() != len(nodes) {
 		b.Fatalf("%d of %d nodes alive", eng.AliveCount(), len(nodes))
+	}
+}
+
+// TestSettledTickAllocs pins BenchmarkSettledTick's allocs/op.
+func TestSettledTickAllocs(t *testing.T) {
+	eng, _, _ := settledGroup(t)
+	eng.Run(viewExchangePeriod)
+	got := testing.AllocsPerRun(2000, func() { eng.Run(viewExchangePeriod) })
+	if got != 169 {
+		t.Errorf("SettledTick allocs/op = %v, pinned at 169", got)
 	}
 }

@@ -253,37 +253,72 @@ func TestDirectoryMalformedFrameClosesConnection(t *testing.T) {
 	}
 }
 
-// BenchmarkTransportFrameCodec measures the tcpnet encode and decode hot
-// path — one full frame per representative protocol message — using the
-// binary codec. The gob comparison lives in the repository root
-// (BenchmarkWireCodecVsGob), outside the gob-free packages.
-func BenchmarkTransportFrameCodec(b *testing.B) {
+// frameCodecOps returns the tcpnet encode and decode hot path as ops —
+// the i-th op handles one full frame of the i-th representative protocol
+// message — using the binary codec.
+func frameCodecOps(tb testing.TB) (encode, decode func(i int) error) {
 	samples := core.WireSamples()
 	frames := make([][]byte, len(samples))
 	for i, s := range samples {
 		frame, err := appendTransportFrame(nil, 7, "127.0.0.1:7001", s)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		frames[i] = frame
 	}
-	b.Run("encode", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			buf, err = appendTransportFrame(buf[:0], 7, "127.0.0.1:7001", samples[i%len(samples)])
-			if err != nil {
-				b.Fatal(err)
+	var buf []byte
+	encode = func(i int) error {
+		var err error
+		buf, err = appendTransportFrame(buf[:0], 7, "127.0.0.1:7001", samples[i%len(samples)])
+		return err
+	}
+	decode = func(i int) error {
+		_, _, _, err := decodeTransportBody(frames[i%len(frames)][frameHeaderLen:])
+		return err
+	}
+	return encode, decode
+}
+
+// BenchmarkTransportFrameCodec measures frameCodecOps. The gob
+// comparison lives in the repository root (BenchmarkWireCodecVsGob),
+// outside the gob-free packages.
+func BenchmarkTransportFrameCodec(b *testing.B) {
+	encode, decode := frameCodecOps(b)
+	for _, bc := range []struct {
+		name string
+		op   func(int) error
+	}{{"encode", encode}, {"decode", decode}} {
+		bc := bc // the sub-benchmark's closure captures it
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.op(i); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := decodeTransportBody(frames[i%len(frames)][frameHeaderLen:]); err != nil {
-				b.Fatal(err)
+		})
+	}
+}
+
+// TestTransportFrameCodecAllocs pins BenchmarkTransportFrameCodec's
+// allocs/op: encoding is allocation-free, decoding averages 4 over the
+// sample frames.
+func TestTransportFrameCodecAllocs(t *testing.T) {
+	encode, decode := frameCodecOps(t)
+	for _, pin := range []struct {
+		name string
+		op   func(int) error
+		want float64
+	}{{"encode", encode, 0}, {"decode", decode, 4}} {
+		i := 0
+		got := testing.AllocsPerRun(2000, func() {
+			if err := pin.op(i); err != nil {
+				t.Fatal(err)
 			}
+			i++
+		})
+		if got != pin.want {
+			t.Errorf("TransportFrameCodec/%s allocs/op = %v, pinned at %v", pin.name, got, pin.want)
 		}
-	})
+	}
 }
